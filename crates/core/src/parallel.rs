@@ -157,12 +157,17 @@ impl<'a> ParallelProtocolDriver<'a> {
         let grace = GracePeriod::compute(circuit.netlist(), library, &observed).ok();
         let program = Arc::new(EngineProgram::new(circuit.netlist(), library));
         // Pre-flight on the calling thread: a reference driver settles
-        // the initial spacer (catching divergence as an error rather
-        // than a worker panic) and its settled state becomes the
-        // canonical snapshot every worker verifies against.  Replicated
-        // instances are deterministic, so each worker's own
-        // initialisation reaches this exact state — the first cycle's
-        // verification proves it.
+        // the initial spacer from X (catching divergence as an error
+        // rather than a worker panic), and its settled state becomes the
+        // canonical snapshot every worker starts from or verifies
+        // against.  Scalar workers settle from X again and must reach
+        // it, which their first cycle's verification proves.  Sliced
+        // word workers skip that settle: they load the snapshot onto all
+        // 64 lanes, check it is a fixed point of the circuit, settle the
+        // spacer from it (no event pops) and compare the word with it
+        // (`SlicedProtocolDriver::from_sliced_simulator`).  That a
+        // settle from X reaches the same state on every lane is pinned
+        // by `tests/snapshot_load.rs`.
         let reference = ProtocolDriver::from_program(circuit, Arc::clone(&program))?;
         let snapshot = reference.quiescent_snapshot();
         drop(reference);

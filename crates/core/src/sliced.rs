@@ -70,24 +70,36 @@ pub struct SlicedProtocolDriver<'a> {
 
 impl<'a> SlicedProtocolDriver<'a> {
     /// Creates a word driver around a fresh sliced simulator instance,
-    /// settles the initial spacer on every lane and verifies the
-    /// settled state against `snapshot` (captured from a scalar
-    /// reference driver, see [`ProtocolDriver::quiescent_snapshot`]).
+    /// starting every lane from `snapshot`: the canonical quiescent
+    /// state a scalar reference driver settled from X once (see
+    /// [`ProtocolDriver::quiescent_snapshot`]).  The instance is not
+    /// settled from X again; the snapshot is loaded onto all 64 lanes
+    /// with [`SlicedSimulator::load_settled_state`] instead.
+    ///
+    /// Each construction still checks what it loads.  The snapshot must
+    /// have one value per net and be a fixed point of the circuit.  The
+    /// spacer is then driven and settled as before, which pops no event
+    /// when the snapshot holds the spacer inputs, and the settled word
+    /// is compared with the snapshot on every lane.  That a settle from
+    /// X reaches the snapshot on every lane is pinned by the test suite
+    /// for the shipped datapaths, and the reset-phase verification after
+    /// every cycle is unchanged.
     ///
     /// # Errors
     ///
-    /// Returns [`DualRailError::SimulationDiverged`] if initialisation
-    /// fails to settle, [`DualRailError::SpacerStateMismatch`] if
-    /// the settled state disagrees with the snapshot, or
-    /// [`DualRailError::StaticVerification`] if an installed pre-flight
-    /// verifier ([`crate::preflight`]) rejects the netlist.
+    /// Returns [`DualRailError::SpacerStateMismatch`] if the snapshot
+    /// has the wrong length, is not a fixed point of the circuit, or
+    /// disagrees with the state the spacer settles to;
+    /// [`DualRailError::SimulationDiverged`] if that settle does not
+    /// end; or [`DualRailError::StaticVerification`] if an installed
+    /// pre-flight verifier ([`crate::preflight`]) rejects the netlist.
     ///
     /// # Panics
     ///
     /// Panics if `sim` does not simulate this circuit's netlist.
     pub fn from_sliced_simulator(
         circuit: &'a DualRailNetlist,
-        sim: SlicedSimulator<'a>,
+        mut sim: SlicedSimulator<'a>,
         snapshot: Arc<[Logic]>,
         check_monotonic: bool,
     ) -> Result<Self, DualRailError> {
@@ -96,6 +108,24 @@ impl<'a> SlicedProtocolDriver<'a> {
             "the simulator must run this circuit's netlist"
         );
         crate::preflight::run(circuit)?;
+        let nets = circuit.netlist().net_count();
+        if snapshot.len() != nets {
+            return Err(DualRailError::SpacerStateMismatch {
+                description: format!(
+                    "the quiescent snapshot covers {} nets but the netlist has {nets}",
+                    snapshot.len()
+                ),
+            });
+        }
+        if let Some(net) = sim.load_settled_state(&snapshot) {
+            return Err(DualRailError::SpacerStateMismatch {
+                description: format!(
+                    "net {net} holds {:?} in the quiescent snapshot but its driver would change \
+                     it, so the snapshot is not a settled state of this circuit",
+                    snapshot[net.index()]
+                ),
+            });
+        }
         let observed = circuit.observed_output_nets();
         let req = circuit
             .netlist()
@@ -117,6 +147,9 @@ impl<'a> SlicedProtocolDriver<'a> {
             }
         }
         driver.sim.set_watch_nets(&watched);
+        // A snapshot already at the spacer suppresses every lane of this
+        // drive, so the settle pops no event; any other snapshot moves
+        // and fails the comparison below.
         driver.drive_spacer_planes();
         if !driver.sim.run_until_quiescent().is_quiescent() {
             return Err(DualRailError::SimulationDiverged);

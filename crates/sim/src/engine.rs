@@ -7,7 +7,7 @@ use netlist::{CellId, NetId, Netlist};
 
 use crate::event::{Event, EventQueue};
 use crate::fault::{FaultOverlay, FaultPlan, NO_STUCK};
-use crate::program::{EngineProgram, NO_DRIVER, NO_LUT};
+use crate::program::{EngineProgram, NO_DRIVER};
 use crate::Logic;
 use netlist::CellKind;
 
@@ -937,22 +937,8 @@ impl<'a> Simulator<'a> {
             return;
         }
 
-        // One three-valued table load replaces the functional evaluation
-        // (`Logic`'s discriminants are the table digits 0, 1, 2).
-        let mut index3 = 0usize;
-        let mut power = 1usize;
-        for &net in input_nets {
-            index3 += self.values[net as usize] as usize * power;
-            power *= 3;
-        }
-        if kind.is_sequential() {
-            index3 += self.values[out] as usize * power;
-        }
-        debug_assert!(
-            program.cell_lut[index] != NO_LUT,
-            "non-DFF cell {index} has no truth table"
-        );
-        let new_value = program.lut_data[program.cell_lut[index] as usize + index3];
+        // One three-valued table load replaces the functional evaluation.
+        let new_value = program.lut_output(index, &self.values);
 
         self.schedule_if_effective(NetId::from_index(out), new_value, time_ps + delay);
     }

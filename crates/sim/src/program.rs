@@ -282,6 +282,32 @@ impl<'a> EngineProgram<'a> {
         self.netlist
     }
 
+    /// Output of non-flip-flop `cell` under the per-net `values`: one
+    /// three-valued table load (`Logic`'s discriminants are the table
+    /// digits 0, 1, 2), with a state-holding cell's own output as the
+    /// last digit.  Always inlined: the scalar kernel's cell
+    /// evaluation is its hot loop, and a second caller must not move it
+    /// out of line.
+    #[inline(always)]
+    pub(crate) fn lut_output(&self, cell: usize, values: &[Logic]) -> Logic {
+        debug_assert!(
+            self.cell_lut[cell] != NO_LUT,
+            "non-DFF cell {cell} has no truth table"
+        );
+        let start = self.cell_input_offsets[cell] as usize;
+        let end = self.cell_input_offsets[cell + 1] as usize;
+        let mut index3 = 0usize;
+        let mut power = 1usize;
+        for &net in &self.cell_input_nets[start..end] {
+            index3 += values[net as usize] as usize * power;
+            power *= 3;
+        }
+        if self.cell_kind[cell].is_sequential() {
+            index3 += values[self.cell_output[cell] as usize] as usize * power;
+        }
+        self.lut_data[self.cell_lut[cell] as usize + index3]
+    }
+
     /// Transport delay of `cell` in picoseconds at the compiled supply
     /// voltage and corner.
     ///

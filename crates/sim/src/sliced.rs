@@ -100,6 +100,16 @@ pub fn lane_mask(n: usize) -> u64 {
     }
 }
 
+/// The `(v, x)` plane pair holding `value` on every lane.
+#[inline]
+fn broadcast(value: Logic) -> (u64, u64) {
+    match value {
+        Logic::One => (FULL, 0),
+        Logic::Zero => (0, 0),
+        Logic::Unknown => (0, FULL),
+    }
+}
+
 /// A scheduled plane change: the new `v`/`x` planes for `net`, applied
 /// only to the lanes in `mask`.
 #[derive(Clone, Copy, Debug)]
@@ -403,11 +413,7 @@ impl<'a> SlicedSimulator<'a> {
         };
         for i in 0..sim.program.constants.len() {
             let (net, value, delay_ps) = sim.program.constants[i];
-            let (cv, cx) = match value {
-                Logic::One => (FULL, 0),
-                Logic::Zero => (0, 0),
-                Logic::Unknown => (0, FULL),
-            };
+            let (cv, cx) = broadcast(value);
             // Constants are raw-scheduled (never suppressed), matching
             // the scalar engine's construction-time schedule.
             sim.schedule(net.index(), cv, cx, FULL, sim.now_ps + delay_ps);
@@ -606,11 +612,7 @@ impl<'a> SlicedSimulator<'a> {
             self.planes.len()
         );
         let mismatch = |n: usize| {
-            let (bv, bx) = match snapshot[n] {
-                Logic::One => (FULL, 0),
-                Logic::Zero => (0, 0),
-                Logic::Unknown => (0, FULL),
-            };
+            let (bv, bx) = broadcast(snapshot[n]);
             let (nv, nx) = self.planes[n];
             ((nv ^ bv) | (nx ^ bx)) & active
         };
@@ -628,6 +630,92 @@ impl<'a> SlicedSimulator<'a> {
             snapshot[net],
             self.value(NetId::from_index(net), lane),
         ))
+    }
+
+    /// Loads a settled net state onto all 64 lanes, in place of the
+    /// settle from X a fresh instance would otherwise need.  Every lane
+    /// of net `n` takes `state[n]`; the construction-time constant
+    /// schedule and any other pending event are dropped together with
+    /// their in-flight counters; and each flip-flop's clock-edge planes
+    /// are set from its clock net, as a settle leaves them.  Clocks,
+    /// event counts, watched activity and attached instruments are left
+    /// alone, so loading the state an instance has already settled to
+    /// changes nothing.
+    ///
+    /// The state is checked, not trusted: every net's driver is
+    /// re-evaluated on the loaded state (a stuck-at clamp of an
+    /// installed [`FaultPlan`] counts as the net's driver), and the
+    /// first net in net order whose driver would change it is returned.
+    /// `None` means `state` is a fixed point of the circuit, so no cell
+    /// has a change to schedule.  On `Some` the instance holds an
+    /// unsettled state and should be discarded.
+    ///
+    /// A fixed point need not be the state a settle from X reaches — a
+    /// state-holding loop can rest at either value — so load a state
+    /// captured from such a settle.  The sliced dual-rail word driver
+    /// (`dualrail::SlicedProtocolDriver::from_sliced_simulator`) loads
+    /// the snapshot its scalar reference settled, and the test suite
+    /// pins that a fresh instance settled from X reaches that snapshot
+    /// on every lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` does not have one value per net.
+    #[must_use]
+    pub fn load_settled_state(&mut self, state: &[Logic]) -> Option<NetId> {
+        assert_eq!(
+            state.len(),
+            self.planes.len(),
+            "state covers {} nets but the netlist has {}",
+            state.len(),
+            self.planes.len()
+        );
+        // Drop whatever is queued (a fresh instance's constants) and
+        // zero the in-flight counters of the nets it was for.
+        self.queue.clear();
+        for (net, any) in self.pending_any.iter_mut().enumerate() {
+            if *any != 0 {
+                *any = 0;
+                self.pending_high[net] = 0;
+                self.pending[net * PENDING_PLANES..(net + 1) * PENDING_PLANES].fill(0);
+            }
+        }
+        for (planes, &value) in self.planes.iter_mut().zip(state) {
+            *planes = broadcast(value);
+        }
+        let program = &self.program;
+        for (cell, &kind) in program.cell_kind.iter().enumerate() {
+            if kind == CellKind::Dff {
+                let clk = program.cell_input_nets[program.cell_input_offsets[cell] as usize + 1];
+                (self.dff_clk_v[cell], self.dff_clk_x[cell]) = self.planes[clk as usize];
+            }
+        }
+        self.first_unstable_net(state)
+    }
+
+    /// The lowest net whose driver would change it in `state`: a
+    /// stuck-at clamp's value, else its driving cell's truth table (the
+    /// scalar engine's tables, which the plane evaluation is pinned
+    /// to).  Nets no cell drives and flip-flop outputs, which change
+    /// only on a clock edge, are stable.
+    fn first_unstable_net(&self, state: &[Logic]) -> Option<NetId> {
+        let program = &self.program;
+        let stuck = self.faults.as_deref().map(|faults| &faults.stuck);
+        let cells = (0..program.cell_kind.len()).filter_map(|cell| {
+            let out = program.cell_output[cell] as usize;
+            let clamped = stuck.is_some_and(|stuck| stuck[out] != NO_STUCK);
+            let unstable = program.cell_kind[cell] != CellKind::Dff
+                && !clamped
+                && program.lut_output(cell, state) != state[out];
+            unstable.then_some(out)
+        });
+        let clamps = stuck.into_iter().flat_map(|stuck| {
+            stuck.iter().enumerate().filter_map(|(net, &value)| {
+                let moves = value != NO_STUCK && Logic::from(value == 1) != state[net];
+                moves.then_some(net)
+            })
+        });
+        cells.chain(clamps).min().map(NetId::from_index)
     }
 
     // ------------------------------------------------------------------
@@ -1697,6 +1785,99 @@ mod tests {
         let mut snapshot = None;
         let _ = run_word_return_to_zero_checked(&mut sim, &[vec![true]], Some(&mut snapshot));
         let _ = run_word_return_to_zero_checked(&mut sim, &[vec![false]], Some(&mut snapshot));
+    }
+
+    /// Lane 0 of every net: the state all lanes share after uniform
+    /// stimulus.
+    fn lane0_state(sim: &SlicedSimulator<'_>) -> Vec<Logic> {
+        (0..sim.planes.len())
+            .map(|n| sim.value(NetId::from_index(n), 0))
+            .collect()
+    }
+
+    /// A C-element fed through a tie-low OR, so loading must also drop
+    /// the construction-time constant schedule; returns the OR's net.
+    fn celem_with_tie() -> (Netlist, NetId) {
+        let mut nl = Netlist::new("celem_tie");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let lo = nl.add_cell("tie", CellKind::Tie0, &[]).unwrap();
+        let bl = nl.add_cell("or", CellKind::Or2, &[b, lo]).unwrap();
+        let c = nl.add_cell("cel", CellKind::CElement2, &[a, bl]).unwrap();
+        nl.add_output("y", c);
+        (nl, bl)
+    }
+
+    #[test]
+    fn a_loaded_settled_state_runs_like_the_settle_it_replaces() {
+        let (nl, _) = celem_with_tie();
+        let library = lib();
+        let operands: Vec<Vec<bool>> = (0..9u32).map(|p| vec![p & 1 != 0, p & 2 != 0]).collect();
+        let mut settled = SlicedSimulator::new(&nl, &library);
+        for net in nl.primary_inputs() {
+            settled.set_input_planes(net, 0, 0, FULL);
+        }
+        assert!(settled.run_until_quiescent().is_quiescent());
+        let state = lane0_state(&settled);
+
+        let mut loaded = SlicedSimulator::new(&nl, &library);
+        assert_eq!(loaded.load_settled_state(&state), None);
+        assert!(!loaded.has_pending_events(), "constants were dropped");
+        assert_eq!(loaded.lane_state_mismatch(&state, FULL), None);
+        assert_eq!(
+            run_word_return_to_zero(&mut loaded, &operands),
+            run_word_return_to_zero(&mut settled, &operands)
+        );
+    }
+
+    #[test]
+    fn states_off_the_fixed_point_are_reported() {
+        let (nl, or) = celem_with_tie();
+        let library = lib();
+        let mut settled = SlicedSimulator::new(&nl, &library);
+        for net in nl.primary_inputs() {
+            settled.set_input_planes(net, 0, 0, FULL);
+        }
+        assert!(settled.run_until_quiescent().is_quiescent());
+        let state = lane0_state(&settled);
+
+        let mut flipped = state.clone();
+        flipped[or.index()] = Logic::One;
+        let mut sim = SlicedSimulator::new(&nl, &library);
+        assert_eq!(sim.load_settled_state(&flipped), Some(or));
+        // A stuck-at clamp drives its net like a cell does.
+        let mut sim = SlicedSimulator::new(&nl, &library);
+        sim.set_fault_plan(&FaultPlan::new().stuck_at(or, true));
+        assert_eq!(sim.load_settled_state(&state), Some(or));
+    }
+
+    #[test]
+    fn loading_sets_the_flip_flop_clock_edge_planes() {
+        let mut nl = Netlist::new("reg");
+        let d = nl.add_input("d");
+        let clk = nl.add_input("clk");
+        let q = nl.add_cell("ff", CellKind::Dff, &[d, clk]).unwrap();
+        nl.add_output("q", q);
+        let library = lib();
+        let mut sim = SlicedSimulator::new(&nl, &library);
+        let mut state = vec![Logic::Zero; nl.net_count()];
+        state[q.index()] = Logic::Unknown;
+        assert_eq!(sim.load_settled_state(&state), None);
+        // The loaded low clock arms the edge: the first rise captures.
+        sim.set_input_planes(d, 0b01, 0, FULL);
+        sim.set_input_planes(clk, FULL, 0, FULL);
+        assert!(sim.run_until_quiescent().is_quiescent());
+        assert_eq!(sim.value(q, 0), Logic::One);
+        assert_eq!(sim.value(q, 1), Logic::Zero);
+    }
+
+    #[test]
+    #[should_panic(expected = "state covers 2 nets")]
+    fn loading_a_state_of_the_wrong_length_panics() {
+        let nl = xor_chain(3);
+        let library = lib();
+        let mut sim = SlicedSimulator::new(&nl, &library);
+        let _ = sim.load_settled_state(&[Logic::Zero; 2]);
     }
 
     #[test]
