@@ -26,18 +26,14 @@ const OBS_OPERANDS: usize = 96;
 /// Chrome trace stays readable in a viewer.
 const OBS_REQUESTS: usize = 256;
 
+use tm_async_bench::args::{or_exit, positional};
+
+const USAGE: &str = "usage: bench_record [operands] [requests] [json-path]";
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
-    let operands: usize = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4096)
-        .max(1);
-    let requests: usize = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2048)
-        .max(64);
+    let operands = or_exit(positional(args.next(), "operands", 4096, 1), USAGE);
+    let requests = or_exit(positional(args.next(), "requests", 2048, 64), USAGE);
     let json_path = args.next();
 
     println!("Experiment E5 — bulk-inference throughput ({operands} operands)\n");

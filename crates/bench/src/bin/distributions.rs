@@ -3,11 +3,15 @@
 //!
 //! Usage: `cargo run -p tm-async-bench --release --bin distributions [operands]`
 
+use tm_async_bench::args::{or_exit, positional};
+
+const USAGE: &str = "usage: distributions [operands]";
+
 fn main() {
-    let operands: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(60);
+    let operands = or_exit(
+        positional(std::env::args().nth(1), "operands", 60, 1),
+        USAGE,
+    );
     println!(
         "Experiment E3 — operand and delay distributions ({operands} operands per workload)\n"
     );

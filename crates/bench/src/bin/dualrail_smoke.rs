@@ -17,14 +17,13 @@
 use celllib::Library;
 use datapath::{DualRailDatapath, DualRailInference, InferenceWorkload};
 use dualrail::ProtocolDriver;
+use tm_async_bench::args::{or_exit, positional};
 use tm_async_bench::workloads::{standard_config, standard_workload};
 
+const USAGE: &str = "usage: dualrail_smoke [operands]";
+
 fn main() {
-    let operands: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8)
-        .max(1);
+    let operands = or_exit(positional(std::env::args().nth(1), "operands", 8, 1), USAGE);
 
     println!("Dual-rail parallel smoke ({operands} operands)\n");
     let config = standard_config();

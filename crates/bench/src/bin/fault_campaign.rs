@@ -10,14 +10,14 @@
 //! `cargo run -p tm-async-bench --release --bin fault_campaign -- 16 6
 //! BENCH_PR7.json`.
 
+use tm_async_bench::args::{or_exit, positional};
+
+const USAGE: &str = "usage: fault_campaign [operands] [sites] [json-path]";
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
-    let operands: usize = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16)
-        .max(1);
-    let sites: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(6);
+    let operands = or_exit(positional(args.next(), "operands", 16, 1), USAGE);
+    let sites = or_exit(positional(args.next(), "sites", 6, 1), USAGE);
     let json_path = args.next();
 
     println!(

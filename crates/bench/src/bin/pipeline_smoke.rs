@@ -15,6 +15,7 @@
 use celllib::Library;
 use datapath::{DualRailDatapath, DualRailInference, InferenceWorkload};
 use dualrail::{Occupancy, PipelineConfig, ProtocolDriver};
+use tm_async_bench::args::{or_exit, positional};
 use tm_async_bench::workloads::{standard_config, standard_workload};
 
 fn median(values: impl Iterator<Item = f64>) -> f64 {
@@ -23,12 +24,13 @@ fn median(values: impl Iterator<Item = f64>) -> f64 {
     values[values.len() / 2]
 }
 
+const USAGE: &str = "usage: pipeline_smoke [operands]";
+
 fn main() {
-    let operands: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16)
-        .max(2);
+    let operands = or_exit(
+        positional(std::env::args().nth(1), "operands", 16, 2),
+        USAGE,
+    );
 
     println!("Wavefront-pipelined dual-rail smoke ({operands} operands)\n");
     let config = standard_config();

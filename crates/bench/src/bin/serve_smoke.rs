@@ -26,18 +26,20 @@
 
 use celllib::Library;
 use datapath::{BatchGoldenModel, DualRailDatapath};
+use tm_async_bench::args::{or_exit, positional};
 use tm_async_bench::workloads::{standard_config, standard_workload};
 use tm_serve::{
     AdmissionPolicy, Backend, BatchBackend, DualRailSlicedBackend, EventSlicedBackend, ServeConfig,
     Server, ServiceModel, Trace,
 };
 
+const USAGE: &str = "usage: serve_smoke [requests]";
+
 fn main() {
-    let requests: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(512)
-        .max(1);
+    let requests = or_exit(
+        positional(std::env::args().nth(1), "requests", 512, 1),
+        USAGE,
+    );
 
     println!("Serving smoke ({requests} Poisson requests, batch backend)\n");
     let config = standard_config();

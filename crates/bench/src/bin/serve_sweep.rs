@@ -13,13 +13,13 @@
 //! (The deterministic zero-shed-below-saturation assertion lives in
 //! the `serve_smoke` CI gate, which uses a fixed service model.)
 
+use tm_async_bench::args::{or_exit, positional};
+
+const USAGE: &str = "usage: serve_sweep [requests] [json-path]";
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
-    let requests: usize = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2048)
-        .max(64);
+    let requests = or_exit(positional(args.next(), "requests", 2048, 64), USAGE);
     let json_path = args.next();
 
     println!(

@@ -4,12 +4,15 @@
 //! Usage: `cargo run -p tm-async-bench --release --bin table1 [operands]`
 
 use celllib::LibraryKind;
+use tm_async_bench::args::{or_exit, positional};
+
+const USAGE: &str = "usage: table1 [operands]";
 
 fn main() {
-    let operands: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(60);
+    let operands = or_exit(
+        positional(std::env::args().nth(1), "operands", 60, 1),
+        USAGE,
+    );
     println!("Experiment E1 — Table I ({operands} operands per design)\n");
     let table = tm_async_bench::table1::run(operands, 2021);
     print!("{}", table.render());

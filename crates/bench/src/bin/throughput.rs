@@ -9,13 +9,13 @@
 //! with the `bench_record` bin; this bin records the throughput
 //! report alone.
 
+use tm_async_bench::args::{or_exit, positional};
+
+const USAGE: &str = "usage: throughput [operands] [json-path]";
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
-    let operands: usize = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4096)
-        .max(1);
+    let operands = or_exit(positional(args.next(), "operands", 4096, 1), USAGE);
     let json_path = args.next();
 
     println!("Experiment E5 — bulk-inference throughput ({operands} operands)\n");

@@ -23,6 +23,10 @@
 //! against the workload's golden outcomes before any time is recorded —
 //! a fast wrong answer never makes it into a table.
 //!
+//! The bins parse their positional numbers with [`args::positional`]: a
+//! missing argument takes its default, and a value that does not parse
+//! or lies out of range exits with code 2 and the bin's usage line.
+//!
 //! # Example
 //!
 //! ```
@@ -43,6 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
+pub mod args;
 pub mod distributions;
 pub mod faults;
 pub mod fig3;

@@ -295,7 +295,10 @@ impl<'a> ParallelProtocolDriver<'a> {
     /// bit-sliced event kernel: the operand stream is cut into words of
     /// up to 64 operands, each word runs all its lanes through one
     /// four-phase cycle on a [`SlicedProtocolDriver`], and words are
-    /// sharded across worker threads.
+    /// sharded across worker threads.  A word of few live lanes (a
+    /// one-request serving batch, a workload's tail) runs on the
+    /// arrival kernel instead, with the same results (see
+    /// [`SlicedProtocolDriver::apply_word`]).
     ///
     /// Word boundaries are fixed by operand position, so results are
     /// bit-identical at any thread count.  The timebase is the

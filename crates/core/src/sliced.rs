@@ -23,6 +23,14 @@
 //! spacer-phase offset is subtracted before instead of after the event
 //! maximum).
 //!
+//! # Kernels
+//!
+//! A word with few live lanes on a healthy, uninstrumented driver runs
+//! on the arrival kernel ([`gatesim::ArrivalProgram`]): one topological
+//! `(min, max, +)` pass per phase and lane instead of the 64-lane event
+//! queue, with bit-identical results.  Every other word runs on the
+//! event kernel; see [`SlicedProtocolDriver::apply_word`] for the rule.
+//!
 //! # Error semantics
 //!
 //! [`SlicedProtocolDriver::apply_word`] returns one
@@ -35,13 +43,27 @@
 
 use std::sync::Arc;
 
-use gatesim::{lane_mask, Logic, SlicedSimulator};
+use gatesim::{lane_mask, ArrivalProgram, ArrivalRun, Logic, SlicedSimulator};
 use netlist::{NetId, LANES};
 
 use crate::protocol::ProtocolDriver;
 use crate::{DualRailError, DualRailNetlist, DualRailValue, OneOfNValue, OperandResult};
 
 const FULL: u64 = !0u64;
+
+/// Most live lanes a word may have to run on the arrival kernel, one
+/// pass per lane; wider words run on the 64-lane event kernel, whose
+/// word time grows far slower than linearly with its lanes.
+///
+/// Measured on an Intel Xeon (2 vCPUs) on the standard (12, 8)
+/// netlist in both completion schemes, alternating the two kernels
+/// over the same 32 words in one run (medians of 5 trials): `k` lanes
+/// served as `k` arrival passes against one event-kernel word of `k`
+/// lanes took 66–68 against 473–621 µs at one lane (7–9x), 857–883
+/// against 1122–1136 µs at 12 lanes (1.3x), 924–1125 against 961–1166
+/// µs at 16 lanes (1.04x) and 1637–1647 against 1206–1216 µs at 24
+/// lanes (0.74x).  The kernels cross near 16 lanes; 12 keeps a margin.
+pub(crate) const ARRIVAL_MAX_LANES: usize = 12;
 
 /// One lane's decoded outputs: the dual-rail output bits plus the
 /// decoded 1-of-n group selections.
@@ -66,6 +88,24 @@ pub struct SlicedProtocolDriver<'a> {
     /// Protocol-level instrument set; `None` (the default) keeps the
     /// word loop free of metrics work.
     metrics: Option<Box<tm_obs::ProtocolMetrics>>,
+    /// Set once a fault plan is installed through the driver, even an
+    /// empty one: such a driver stays on the event kernel.
+    faulted: bool,
+    /// Whether every lane holds `snapshot` with no event pending: the
+    /// state an arrival pass starts from.
+    at_snapshot: bool,
+    /// The arrival kernel at `snapshot`, looked up on the first word
+    /// that could use it; `Some(None)` when the circuit has none.
+    arrival: Option<Option<Box<ArrivalLane>>>,
+}
+
+/// An arrival program and one lane's scratch.
+#[derive(Debug)]
+struct ArrivalLane {
+    program: Arc<ArrivalProgram>,
+    run: ArrivalRun,
+    /// The primary inputs the current operand moves.
+    moved: Vec<NetId>,
 }
 
 impl<'a> SlicedProtocolDriver<'a> {
@@ -139,6 +179,9 @@ impl<'a> SlicedProtocolDriver<'a> {
             observed,
             req,
             metrics: None,
+            faulted: false,
+            at_snapshot: false,
+            arrival: None,
         };
         let mut watched = driver.observed.clone();
         if let Some(done) = circuit.done() {
@@ -164,6 +207,7 @@ impl<'a> SlicedProtocolDriver<'a> {
                 ),
             });
         }
+        driver.at_snapshot = true;
         Ok(driver)
     }
 
@@ -256,6 +300,7 @@ impl<'a> SlicedProtocolDriver<'a> {
     /// Returns [`DualRailError::SimulationDiverged`] if the faulted
     /// circuit cannot reach quiescence within the watchdog bounds.
     pub fn set_fault_plan(&mut self, plan: &gatesim::FaultPlan) -> Result<(), DualRailError> {
+        self.faulted = true;
         self.sim.set_fault_plan(plan);
         if !self.sim.run_until_quiescent().is_quiescent() {
             return Err(DualRailError::SimulationDiverged);
@@ -283,6 +328,7 @@ impl<'a> SlicedProtocolDriver<'a> {
     /// wavefront-pipelined driver steps it slice by slice instead of
     /// settling whole phases.
     pub(crate) fn sim_mut(&mut self) -> &mut SlicedSimulator<'a> {
+        self.at_snapshot = false;
         &mut self.sim
     }
 
@@ -343,15 +389,20 @@ impl<'a> SlicedProtocolDriver<'a> {
         }
     }
 
-    pub(crate) fn decode_outputs_lane(&self, lane: usize) -> Result<DecodedOutputs, DualRailError> {
+    /// Decodes the outputs under the per-net `value` (one lane's view)
+    /// when a valid codeword is expected.
+    fn decode_outputs(
+        &self,
+        value: impl Fn(NetId) -> Logic,
+    ) -> Result<DecodedOutputs, DualRailError> {
         let mut outputs = Vec::new();
         for (name, signal) in self.circuit.dual_outputs() {
-            let value = DualRailValue::decode(
-                self.sim.value(signal.positive, lane),
-                self.sim.value(signal.negative, lane),
+            let decoded = DualRailValue::decode(
+                value(signal.positive),
+                value(signal.negative),
                 signal.polarity,
             );
-            match value {
+            match decoded {
                 DualRailValue::Valid(bit) => outputs.push(bit),
                 DualRailValue::Forbidden => {
                     return Err(DualRailError::IllegalCodeword {
@@ -371,7 +422,7 @@ impl<'a> SlicedProtocolDriver<'a> {
         }
         let mut groups = Vec::new();
         for (name, wires) in self.circuit.one_of_n_outputs() {
-            let values: Vec<Logic> = wires.iter().map(|&w| self.sim.value(w, lane)).collect();
+            let values: Vec<Logic> = wires.iter().map(|&w| value(w)).collect();
             match OneOfNValue::decode(&values) {
                 OneOfNValue::Valid(index) => groups.push((name.clone(), index)),
                 OneOfNValue::Forbidden => {
@@ -394,27 +445,28 @@ impl<'a> SlicedProtocolDriver<'a> {
         Ok((outputs, groups))
     }
 
-    pub(crate) fn check_outputs_at_spacer_lane(&self, lane: usize) -> Result<(), DualRailError> {
+    /// Checks that every output is back at the spacer under `value`.
+    fn check_outputs_at_spacer(&self, value: impl Fn(NetId) -> Logic) -> Result<(), DualRailError> {
         for (name, signal) in self.circuit.dual_outputs() {
-            let value = DualRailValue::decode(
-                self.sim.value(signal.positive, lane),
-                self.sim.value(signal.negative, lane),
+            let decoded = DualRailValue::decode(
+                value(signal.positive),
+                value(signal.negative),
                 signal.polarity,
             );
-            if value == DualRailValue::Forbidden {
+            if decoded == DualRailValue::Forbidden {
                 return Err(DualRailError::IllegalCodeword {
                     output: name.clone(),
                     description: "both rails are active after the spacer phase".to_string(),
                 });
             }
-            if value != DualRailValue::Spacer {
+            if decoded != DualRailValue::Spacer {
                 return Err(DualRailError::ProtocolViolation {
-                    description: format!("output {name:?} is {value:?} after the spacer phase"),
+                    description: format!("output {name:?} is {decoded:?} after the spacer phase"),
                 });
             }
         }
         for (name, wires) in self.circuit.one_of_n_outputs() {
-            let values: Vec<Logic> = wires.iter().map(|&w| self.sim.value(w, lane)).collect();
+            let values: Vec<Logic> = wires.iter().map(|&w| value(w)).collect();
             if OneOfNValue::decode(&values) != OneOfNValue::Spacer {
                 return Err(DualRailError::ProtocolViolation {
                     description: format!("1-of-n output {name:?} did not return to spacer"),
@@ -424,17 +476,21 @@ impl<'a> SlicedProtocolDriver<'a> {
         Ok(())
     }
 
-    pub(crate) fn decode_probes_lane(&self, lane: usize) -> Vec<(String, DualRailValue)> {
+    pub(crate) fn check_outputs_at_spacer_lane(&self, lane: usize) -> Result<(), DualRailError> {
+        self.check_outputs_at_spacer(|net| self.sim.value(net, lane))
+    }
+
+    fn decode_probes(&self, value: impl Fn(NetId) -> Logic) -> Vec<(String, DualRailValue)> {
         self.circuit
             .probes()
             .iter()
             .map(|(name, signal)| {
-                let value = DualRailValue::decode(
-                    self.sim.value(signal.positive, lane),
-                    self.sim.value(signal.negative, lane),
+                let decoded = DualRailValue::decode(
+                    value(signal.positive),
+                    value(signal.negative),
                     signal.polarity,
                 );
-                (name.clone(), value)
+                (name.clone(), decoded)
             })
             .collect()
     }
@@ -479,6 +535,22 @@ impl<'a> SlicedProtocolDriver<'a> {
     /// cycle, contributing no events, no latencies and no spacer
     /// failures.
     ///
+    /// # Kernels
+    ///
+    /// A word with few live lanes (at most a measured crossover, about
+    /// a dozen) on a healthy, uninstrumented driver runs on the
+    /// **arrival kernel** ([`gatesim::ArrivalProgram`]): one
+    /// topological `(min, max, +)` pass per phase and lane, compiled
+    /// once per [`gatesim::EngineProgram`] and snapshot.  Its results
+    /// are bit-identical to the event kernel's, `cycle_time_ps`
+    /// included.  Every other word runs on the 64-lane event kernel:
+    /// a driver with a fault plan (even an empty one), a wave probe,
+    /// metrics, a non-default event limit or a circuit the arrival
+    /// compile rejects; a word with more live lanes; a word whose pass
+    /// meets a tie its queue order would break or a pop past the time
+    /// horizon; and any word in which a lane fails a check, so typed
+    /// errors always come from the event kernel.
+    ///
     /// # Panics
     ///
     /// Panics if `operands` holds more than [`LANES`] operands.
@@ -486,11 +558,168 @@ impl<'a> SlicedProtocolDriver<'a> {
         &mut self,
         operands: &[Vec<bool>],
     ) -> Vec<Result<OperandResult, DualRailError>> {
+        let word = lane_mask(operands.len());
+        if let Some(results) = self.arrival_word(operands) {
+            return results;
+        }
+        self.event_word(operands, word)
+    }
+
+    /// Whether this driver's words may run on the arrival kernel: no
+    /// instruments or faults that need the event kernel's events, the
+    /// default event limit, and every lane at the snapshot.
+    fn arrival_eligible(&self) -> bool {
+        !self.faulted
+            && self.at_snapshot
+            && self.metrics.is_none()
+            && !self.sim.metrics_attached()
+            && !self.sim.wave_probe_attached()
+            && !self.sim.has_fault_plan()
+            && self.sim.event_limit() == gatesim::Simulator::DEFAULT_EVENT_LIMIT
+    }
+
+    /// Takes the arrival kernel out of the driver, looking its program
+    /// up on first use (compiled at most once per engine program and
+    /// snapshot content).  There is none when the compile fails, when
+    /// the dual-rail inputs share nets (a drive would then move one net
+    /// twice), or when a lane's pops could exceed the default event
+    /// limit.
+    fn take_arrival(&mut self) -> Option<Box<ArrivalLane>> {
+        self.arrival
+            .get_or_insert_with(|| {
+                let mut driven: Vec<NetId> = self
+                    .circuit
+                    .dual_inputs()
+                    .iter()
+                    .flat_map(|(_, signal)| [signal.positive, signal.negative])
+                    .chain(self.req)
+                    .collect();
+                let count = driven.len();
+                driven.sort_unstable();
+                driven.dedup();
+                let program = self.sim.program().arrival_program(&self.snapshot).ok()?;
+                let fits = program.pop_bound() <= gatesim::Simulator::DEFAULT_EVENT_LIMIT;
+                (driven.len() == count && fits).then(|| {
+                    Box::new(ArrivalLane {
+                        run: program.new_run(),
+                        program,
+                        moved: Vec::new(),
+                    })
+                })
+            })
+            .take()
+    }
+
+    /// Serves the word on the arrival kernel, or returns `None` when it
+    /// must run on the event kernel (see [`SlicedProtocolDriver::apply_word`]).
+    fn arrival_word(
+        &mut self,
+        operands: &[Vec<bool>],
+    ) -> Option<Vec<Result<OperandResult, DualRailError>>> {
+        let expected = self.circuit.input_count();
+        let live = operands.iter().filter(|op| op.len() == expected).count();
+        if live == 0 || live > ARRIVAL_MAX_LANES || !self.arrival_eligible() {
+            return None;
+        }
+        let mut lane = self.take_arrival()?;
+        let results = operands
+            .iter()
+            .map(|operand| {
+                if operand.len() == expected {
+                    self.arrival_result(&mut lane, operand).map(Ok)
+                } else {
+                    Some(Err(DualRailError::OperandWidthMismatch {
+                        expected,
+                        got: operand.len(),
+                    }))
+                }
+            })
+            .collect();
+        self.arrival = Some(Some(lane));
+        results
+    }
+
+    /// The primary inputs whose valid drive for `operand` differs from
+    /// the snapshot: exactly the inputs the event kernel's drive moves.
+    fn moved_inputs(&self, operand: &[bool], moved: &mut Vec<NetId>) {
+        moved.clear();
+        let mut drive = |net: NetId, level: bool| {
+            if self.snapshot[net.index()] != Logic::from(level) {
+                moved.push(net);
+            }
+        };
+        if let Some(req) = self.req {
+            drive(req, true);
+        }
+        for ((_, signal), &bit) in self.circuit.dual_inputs().iter().zip(operand) {
+            let (p, n) = DualRailValue::encode_valid(bit, signal.polarity);
+            drive(signal.positive, p);
+            drive(signal.negative, n);
+        }
+    }
+
+    /// One operand's [`OperandResult`] from its arrival pass, with the
+    /// event path's checks in its order; `None` on a fallback, a failed
+    /// check or a pop past the time horizon (the event kernel then
+    /// re-runs the word and reports any typed error).  A pass moves each
+    /// net at most once per phase and returns every net, so the
+    /// monotonicity and reset-phase checks hold by construction.
+    fn arrival_result(&self, lane: &mut ArrivalLane, operand: &[bool]) -> Option<OperandResult> {
+        self.moved_inputs(operand, &mut lane.moved);
+        lane.program.run_cycle(&lane.moved, &mut lane.run).ok()?;
+        let (program, run) = (&*lane.program, &lane.run);
+        let horizon = self.sim.time_horizon_ps();
+        if run.valid_clock_ps() > horizon || run.spacer_clock_ps() > horizon {
+            return None;
+        }
+        let latest = |moves: &dyn Fn(NetId) -> Option<f64>| {
+            self.observed
+                .iter()
+                .filter_map(|&net| moves(net))
+                .fold(None, |acc: Option<f64>, t| {
+                    Some(acc.map_or(t, |best| best.max(t)))
+                })
+                .unwrap_or(0.0)
+        };
+        let valid = |net| program.valid_value(run, net);
+        let (outputs, one_of_n) = self.decode_outputs(valid).ok()?;
+        let probes = self.decode_probes(valid);
+        let done_latency_ps = match self.circuit.done() {
+            Some(done) if !valid(done).is_one() => return None,
+            Some(done) => run.valid_move_ps(done),
+            None => None,
+        };
+        let spacer = |net: NetId| self.snapshot[net.index()];
+        self.check_outputs_at_spacer(spacer).ok()?;
+        if self
+            .circuit
+            .done()
+            .is_some_and(|done| !spacer(done).is_zero())
+        {
+            return None;
+        }
+        Some(OperandResult {
+            outputs,
+            one_of_n,
+            s_to_v_latency_ps: latest(&|net| run.valid_move_ps(net)),
+            done_latency_ps,
+            v_to_s_latency_ps: latest(&|net| run.spacer_move_ps(net)),
+            cycle_time_ps: run.valid_clock_ps() + run.spacer_clock_ps(),
+            probes,
+        })
+    }
+
+    /// The 64-lane event-kernel cycle behind
+    /// [`SlicedProtocolDriver::apply_word`].
+    fn event_word(
+        &mut self,
+        operands: &[Vec<bool>],
+        word: u64,
+    ) -> Vec<Result<OperandResult, DualRailError>> {
         let lanes = operands.len();
         if lanes == 0 {
             return Vec::new();
         }
-        let word = lane_mask(lanes);
         let expected = self.circuit.input_count();
         let mut errors: Vec<Option<DualRailError>> = operands
             .iter()
@@ -527,6 +756,7 @@ impl<'a> SlicedProtocolDriver<'a> {
         }
 
         // Phase 1: spacer -> valid, in a fresh zero-based frame.
+        let was_at_snapshot = std::mem::replace(&mut self.at_snapshot, false);
         self.sim.clear_watch_activity();
         self.sim.reset_time();
         self.sim.reset_lane_events();
@@ -549,14 +779,14 @@ impl<'a> SlicedProtocolDriver<'a> {
             if errors[lane].is_some() {
                 continue;
             }
-            match self.decode_outputs_lane(lane) {
+            match self.decode_outputs(|net| self.sim.value(net, lane)) {
                 Ok(d) => decoded[lane] = Some(d),
                 Err(e) => {
                     errors[lane] = Some(e);
                     continue;
                 }
             }
-            probes[lane] = Some(self.decode_probes_lane(lane));
+            probes[lane] = Some(self.decode_probes(|net| self.sim.value(net, lane)));
             s_to_v[lane] = self
                 .latest_watched_change(&self.observed, lane)
                 .unwrap_or(0.0);
@@ -645,6 +875,12 @@ impl<'a> SlicedProtocolDriver<'a> {
                 }
             }
         }
+        // Lanes outside `run` were only driven to their spacer levels,
+        // so when every lane started at the snapshot and every live lane
+        // passed, the whole word is back at it.
+        let passed = errors.iter().all(Option::is_none);
+        self.at_snapshot = (was_at_snapshot && passed)
+            || self.sim.lane_state_mismatch(&self.snapshot, FULL).is_none();
 
         (0..lanes)
             .map(|lane| match errors[lane].take() {
@@ -965,6 +1201,263 @@ mod tests {
         let run = driver.run_workload_sliced(&[]).unwrap();
         assert!(run.results.is_empty());
         assert_eq!(run.latency.count(), 0);
+    }
+
+    /// Runs `word` and reports whether the event kernel served it.  An
+    /// event-kernel cycle pops events on every live lane and drives
+    /// every input on all 64 lanes (the lanes already at their level
+    /// count as suppressed schedules); an arrival pass leaves the
+    /// simulator and both counters untouched.
+    fn served_by_events(
+        driver: &mut SlicedProtocolDriver<'_>,
+        word: &[Vec<bool>],
+    ) -> (Vec<Result<OperandResult, DualRailError>>, bool) {
+        let counters = |d: &SlicedProtocolDriver<'_>| {
+            (d.sim().lane_events(0), d.sim().suppressed_lane_events())
+        };
+        let before = counters(driver);
+        let results = driver.apply_word(word);
+        (results, counters(driver) != before)
+    }
+
+    fn unwrap_all(results: Vec<Result<OperandResult, DualRailError>>) -> Vec<OperandResult> {
+        results.into_iter().map(Result::unwrap).collect()
+    }
+
+    /// A healthy word of at most the crossover's live lanes runs on the
+    /// arrival kernel; one more live lane moves it to the event kernel.
+    /// Both reproduce the scalar reference bit for bit.
+    #[test]
+    fn healthy_words_up_to_the_crossover_run_the_arrival_kernel() {
+        let dr = and_or_circuit();
+        let lib = Library::umc_ll();
+        let operands = workload(3, ARRIVAL_MAX_LANES + 1);
+        let expected = rebased_streamed(&dr, &operands);
+        let mut driver = word_driver(&dr, &lib);
+        for lanes in [1, 2, ARRIVAL_MAX_LANES] {
+            let (results, events) = served_by_events(&mut driver, &operands[..lanes]);
+            assert!(!events, "{lanes} live lanes run on the arrival kernel");
+            assert_eq!(unwrap_all(results), expected[..lanes], "{lanes} lanes");
+        }
+        let (results, events) = served_by_events(&mut driver, &operands);
+        assert!(
+            events,
+            "more live lanes than the crossover run on the event kernel"
+        );
+        assert_eq!(unwrap_all(results), expected);
+        // The event word returned every lane to the snapshot, so the
+        // arrival kernel serves again, and width errors keep their lane.
+        let mut mixed = operands[..3].to_vec();
+        mixed[1] = vec![true];
+        let (results, events) = served_by_events(&mut driver, &mixed);
+        assert!(!events);
+        assert_eq!(results[0].as_ref().unwrap(), &expected[0]);
+        assert!(matches!(
+            results[1],
+            Err(DualRailError::OperandWidthMismatch {
+                expected: 3,
+                got: 1
+            })
+        ));
+        assert_eq!(results[2].as_ref().unwrap(), &expected[2]);
+        // A word with no live lane leaves the simulator alone, so the
+        // next healthy word still runs on the arrival kernel.
+        assert!(driver.apply_word(&[vec![true]])[0].is_err());
+        let (results, events) = served_by_events(&mut driver, &operands[..1]);
+        assert!(!events);
+        assert_eq!(unwrap_all(results), expected[..1]);
+    }
+
+    /// Every event-kernel condition runs the event kernel, with the
+    /// same results as the arrival kernel.
+    #[test]
+    fn instruments_faults_limits_and_horizons_keep_the_event_kernel() {
+        let dr = and_or_circuit();
+        let lib = Library::umc_ll();
+        let operands = workload(3, 5);
+        let expected = rebased_streamed(&dr, &operands);
+        type Install = fn(&mut SlicedProtocolDriver<'_>);
+        let conditions: [(&str, Install); 5] = [
+            ("an empty fault plan", |d| {
+                d.set_fault_plan(&gatesim::FaultPlan::new()).unwrap();
+            }),
+            ("a wave probe", |d| {
+                d.attach_wave_probe(tm_obs::WaveProbe::new(), 0)
+            }),
+            ("driver metrics", |d| {
+                d.attach_metrics(&tm_obs::MetricsRegistry::new(), "t");
+            }),
+            ("protocol metrics only", |d| {
+                let registry = tm_obs::MetricsRegistry::new();
+                d.attach_protocol_metrics(tm_obs::ProtocolMetrics::register(&registry, "t"));
+            }),
+            ("a non-default event limit", |d| {
+                d.set_event_limit(1_000_000)
+            }),
+        ];
+        for (name, install) in conditions {
+            let mut driver = word_driver(&dr, &lib);
+            install(&mut driver);
+            let (results, events) = served_by_events(&mut driver, &operands);
+            assert!(events, "{name} keeps the event kernel");
+            assert_eq!(unwrap_all(results), expected, "{name}");
+        }
+
+        // Engine metrics attached to the instance before the driver.
+        let program = Arc::new(EngineProgram::new(dr.netlist(), &lib));
+        let snapshot = ProtocolDriver::from_program(&dr, Arc::clone(&program))
+            .unwrap()
+            .quiescent_snapshot();
+        let mut sim = SlicedSimulator::from_program(program);
+        sim.attach_metrics_deferred(tm_obs::SimMetrics::register(
+            &tm_obs::MetricsRegistry::new(),
+            "t",
+        ));
+        let mut driver =
+            SlicedProtocolDriver::from_sliced_simulator(&dr, sim, snapshot, true).unwrap();
+        let (results, events) = served_by_events(&mut driver, &operands);
+        assert!(events, "engine metrics keep the event kernel");
+        assert_eq!(unwrap_all(results), expected);
+
+        // A horizon past every pop leaves the arrival kernel in place; one
+        // before the last pop of the cycle sends the word to the event
+        // kernel, which reports the watchdog.
+        let longest = expected
+            .iter()
+            .map(|r| r.cycle_time_ps - r.v_to_s_latency_ps)
+            .fold(0.0, f64::max);
+        let mut driver = word_driver(&dr, &lib);
+        driver.set_time_horizon_ps(1.0e6);
+        let (results, events) = served_by_events(&mut driver, &operands);
+        assert!(!events, "a distant horizon keeps the arrival kernel");
+        assert_eq!(unwrap_all(results), expected);
+        let mut driver = word_driver(&dr, &lib);
+        driver.set_time_horizon_ps(longest / 2.0);
+        let (results, events) = served_by_events(&mut driver, &operands);
+        assert!(events, "a pop past the horizon runs the event kernel");
+        assert!(results
+            .iter()
+            .all(|r| matches!(r, Err(DualRailError::SimulationDiverged))));
+    }
+
+    /// A lane that fails a check sends its whole word to the event
+    /// kernel, which reports the typed error; the next healthy word is
+    /// back on the arrival kernel.
+    #[test]
+    fn a_lane_failing_a_check_reruns_the_word_on_the_event_kernel() {
+        // `y` copies `a` on its positive rail but ties its negative rail
+        // low, so `a = 0` leaves `y` at the spacer: a protocol violation.
+        let mut dr = DualRailNetlist::new("half");
+        let a = dr.add_dual_input("a");
+        let low = dr
+            .netlist_mut()
+            .add_cell("low", netlist::CellKind::Tie0, &[])
+            .unwrap();
+        let y = crate::DualRailSignal::new(a.positive, low, crate::SpacerPolarity::AllZero);
+        dr.add_dual_output("y", y);
+        let lib = Library::umc_ll();
+        let mut driver = word_driver(&dr, &lib);
+        let mut reference = word_driver(&dr, &lib);
+        reference.set_event_limit(1_000_000);
+
+        let (results, events) = served_by_events(&mut driver, &[vec![true], vec![false]]);
+        assert!(events, "a failing lane reruns the word on the event kernel");
+        assert!(matches!(
+            results[1],
+            Err(DualRailError::ProtocolViolation { .. })
+        ));
+        assert_eq!(results, reference.apply_word(&[vec![true], vec![false]]));
+        let (results, events) = served_by_events(&mut driver, &[vec![true]]);
+        assert!(!events, "healthy words return to the arrival kernel");
+        assert_eq!(results, reference.apply_word(&[vec![true]]));
+    }
+
+    /// A circuit the arrival compile rejects stays on the event kernel.
+    #[test]
+    fn a_circuit_without_an_arrival_program_keeps_the_event_kernel() {
+        let mut dr = DualRailNetlist::new("xor");
+        let a = dr.add_dual_input("a");
+        let b = dr.add_dual_input("b");
+        let x = dr.xor2("x", a, b).unwrap();
+        dr.add_dual_output("x", x);
+        let lib = Library::umc_ll();
+        let mut driver = word_driver(&dr, &lib);
+        assert!(driver
+            .sim()
+            .program()
+            .arrival_program(&driver.snapshot)
+            .is_ok());
+        // Mixing a rail through an XOR makes the netlist non-monotone.
+        let mut bad = DualRailNetlist::new("bad");
+        let a = bad.add_dual_input("a");
+        let b = bad.add_dual_input("b");
+        let p = bad
+            .netlist_mut()
+            .add_cell("x", netlist::CellKind::Xor2, &[a.positive, b.positive])
+            .unwrap();
+        let n = bad
+            .netlist_mut()
+            .add_cell("n", netlist::CellKind::And2, &[a.negative, b.negative])
+            .unwrap();
+        bad.add_dual_output(
+            "y",
+            crate::DualRailSignal::new(p, n, crate::SpacerPolarity::AllZero),
+        );
+        let mut bad_driver = word_driver(&bad, &lib);
+        assert!(matches!(
+            bad_driver
+                .sim()
+                .program()
+                .arrival_program(&bad_driver.snapshot),
+            Err(gatesim::ArrivalCompileError::NonMonotone { .. })
+        ));
+        let (_, events) = served_by_events(&mut bad_driver, &[vec![true, false]]);
+        assert!(events);
+        let (results, events) = served_by_events(&mut driver, &workload(2, 4));
+        assert!(!events);
+        assert_eq!(unwrap_all(results), rebased_streamed(&dr, &workload(2, 4)));
+    }
+
+    /// The tie the arrival pass cannot order: `z = a | b` moves one OR
+    /// delay after the inputs, exactly when `y = a | z` pops the move
+    /// `a` scheduled (both ORs drive one load, so their delays are the
+    /// same `f64`).  The word falls back and matches the event kernel
+    /// bit for bit, `cycle_time_ps` included.
+    #[test]
+    fn an_input_arriving_as_its_output_event_pops_falls_back() {
+        let mut dr = DualRailNetlist::new("tie");
+        let a = dr.add_dual_input("a");
+        let b = dr.add_dual_input("b");
+        let z = dr.or2("z", a, b).unwrap();
+        let y = dr.or2("y", a, z).unwrap();
+        dr.add_dual_output("y", y);
+        let lib = Library::umc_ll();
+        let mut driver = word_driver(&dr, &lib);
+        let arrival = driver
+            .sim()
+            .program()
+            .arrival_program(&driver.snapshot)
+            .unwrap();
+        let mut run = arrival.new_run();
+        assert_eq!(
+            arrival.run_cycle(&[a.positive, b.positive], &mut run),
+            Err(gatesim::ArrivalTie { net: y.positive })
+        );
+        let operands = vec![vec![true, true], vec![false, true], vec![true, false]];
+        let mut reference = word_driver(&dr, &lib);
+        reference.attach_metrics(&tm_obs::MetricsRegistry::new(), "t");
+        let expected = reference.apply_word(&operands);
+        let (results, events) = served_by_events(&mut driver, &operands);
+        assert!(events, "a tied word runs on the event kernel");
+        assert_eq!(results, expected);
+        assert_eq!(unwrap_all(results), rebased_streamed(&dr, &operands));
+        // With `a` low and `b` high, `y` waits for `z` and nothing ties
+        // (with both low, the negative rails tie on the way back): the
+        // word stays on the arrival kernel.
+        let untied = vec![vec![false, true]];
+        let (results, events) = served_by_events(&mut driver, &untied);
+        assert!(!events);
+        assert_eq!(unwrap_all(results), rebased_streamed(&dr, &untied));
     }
 
     /// The robustness story's core claim, 64-wide driver: a stuck-at on

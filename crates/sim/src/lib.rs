@@ -36,6 +36,12 @@
 //! event counts bit-identical to the scalar engine (see the
 //! [`sliced`] module).
 //!
+//! [`ArrivalProgram`] settles one operand of a monotone (dual-rail)
+//! netlist without an event queue: one topological `(min, max, +)`
+//! pass per protocol phase over the cells' input move times, with the
+//! same per-lane results as the event kernels (see the [`arrival`]
+//! module).
+//!
 //! # Example
 //!
 //! ```
@@ -61,6 +67,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod arrival;
 pub mod engine;
 pub mod event;
 pub mod fault;
@@ -71,6 +78,7 @@ pub mod sliced;
 pub mod testbench;
 pub mod value;
 
+pub use arrival::{ArrivalCompileError, ArrivalProgram, ArrivalRun, ArrivalTie};
 pub use engine::{RunOutcome, Simulator, StepOutcome};
 pub use event::{Event, EventQueue, SimEvent};
 pub use fault::{FaultPlan, SettleError, SettlePhase, SeuPulse};

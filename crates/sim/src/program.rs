@@ -40,10 +40,23 @@
 //! assert_eq!(sim_b.value(y), Logic::One);
 //! ```
 
+use std::sync::{Arc, Mutex, PoisonError};
+
 use celllib::Library;
 use netlist::{CellId, CellKind, NetId, Netlist};
 
+use crate::arrival::{ArrivalCompileError, ArrivalProgram};
 use crate::Logic;
+
+/// Arrival programs kept per [`EngineProgram`], one per distinct state.
+const ARRIVAL_CACHE_CAP: usize = 4;
+
+/// A memoised arrival compile: the state it was compiled at, and the
+/// outcome.
+type ArrivalEntry = (
+    Box<[Logic]>,
+    Result<Arc<ArrivalProgram>, ArrivalCompileError>,
+);
 
 /// Marker for nets without a driving cell in [`EngineProgram::driver_of`].
 pub(crate) const NO_DRIVER: u32 = u32::MAX;
@@ -96,6 +109,9 @@ pub struct EngineProgram<'a> {
     /// Event-queue granularity every instance starts with.
     pub(crate) bucket_width_ps: f64,
     pub(crate) bucket_count: usize,
+    /// Arrival programs compiled so far, keyed by the state's content
+    /// (see [`EngineProgram::arrival_program`]).
+    arrival: Mutex<Vec<ArrivalEntry>>,
 }
 
 impl<'a> EngineProgram<'a> {
@@ -266,7 +282,34 @@ impl<'a> EngineProgram<'a> {
             primary_inputs: netlist.primary_inputs(),
             bucket_width_ps,
             bucket_count,
+            arrival: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The [`ArrivalProgram`] of this program at the settled `state`,
+    /// compiled on first request and memoised: later requests with a
+    /// state of the same **content** (not the same address) share the
+    /// compiled program, or its error.  At most once per state and
+    /// program, even across threads — concurrent first requests wait
+    /// for one compile.
+    ///
+    /// # Errors
+    ///
+    /// The [`ArrivalCompileError`] of [`ArrivalProgram::compile`].
+    pub fn arrival_program(
+        &self,
+        state: &[Logic],
+    ) -> Result<Arc<ArrivalProgram>, ArrivalCompileError> {
+        let mut cache = self.arrival.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, compiled)) = cache.iter().find(|(key, _)| **key == *state) {
+            return compiled.clone();
+        }
+        let compiled = ArrivalProgram::compile(self, state).map(Arc::new);
+        if cache.len() == ARRIVAL_CACHE_CAP {
+            drop(cache.remove(0));
+        }
+        cache.push((state.into(), compiled.clone()));
+        compiled
     }
 
     /// Primary inputs of the compiled netlist, in port declaration

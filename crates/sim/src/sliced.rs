@@ -531,6 +531,20 @@ impl<'a> SlicedSimulator<'a> {
         self.horizon_ps = horizon_ps;
     }
 
+    /// The watchdog time horizon set by
+    /// [`SlicedSimulator::set_time_horizon_ps`] (`INFINITY` when
+    /// unbounded).
+    #[must_use]
+    pub fn time_horizon_ps(&self) -> f64 {
+        self.horizon_ps
+    }
+
+    /// Whether a non-empty [`FaultPlan`] is installed.
+    #[must_use]
+    pub fn has_fault_plan(&self) -> bool {
+        self.faults.is_some()
+    }
+
     /// Installs `plan` as this instance's fault overlay, replacing any
     /// previous plan (an empty plan clears the overlay) — the sliced
     /// analogue of [`crate::Simulator::set_fault_plan`].  Faults apply
@@ -1150,6 +1164,12 @@ impl<'a> SlicedSimulator<'a> {
             probe.set_initial(net, value);
         }
         self.wave = Some(Box::new((probe, 1u64 << lane)));
+    }
+
+    /// Whether a waveform probe is attached.
+    #[must_use]
+    pub fn wave_probe_attached(&self) -> bool {
+        self.wave.is_some()
     }
 
     /// Detaches and returns the waveform probe, if one is attached.
