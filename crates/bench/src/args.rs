@@ -1,9 +1,10 @@
-//! Strict positional arguments for the bench bins.
+//! Strict arguments for the bench bins.
 //!
-//! A missing argument takes its default; anything else must parse and
-//! reach its minimum.  A typo is an error — the bin prints it with its
-//! usage line and exits with code 2, as `perfbench` does — never a
-//! silently different experiment.
+//! A missing positional argument takes its default; anything else must
+//! parse and reach its minimum, and an argument a bin does not take is
+//! rejected.  A typo is an error — the bin prints it with its usage
+//! line and exits with code 2, as `perfbench` does — never a silently
+//! different experiment or output file.
 //!
 //! # Example
 //!
@@ -57,6 +58,37 @@ where
     }
 }
 
+/// The optional `--json <path>` flag: `None` when `args` is empty.
+///
+/// # Errors
+///
+/// Returns an [`ArgError`] for any other argument, for a `--json`
+/// without a path and for anything after the path.
+pub fn json_flag(mut args: impl Iterator<Item = String>) -> Result<Option<String>, ArgError> {
+    let path = match args.next() {
+        None => return Ok(None),
+        Some(flag) if flag == "--json" => args
+            .next()
+            .ok_or_else(|| ArgError("--json: missing path".into()))?,
+        Some(other) => return Err(ArgError(format!("unknown argument `{other}`"))),
+    };
+    no_more(args)?;
+    Ok(Some(path))
+}
+
+/// Rejects whatever is left of `args` once a bin has read every
+/// argument it takes.
+///
+/// # Errors
+///
+/// Returns an [`ArgError`] naming the first argument left over.
+pub fn no_more(mut args: impl Iterator<Item = String>) -> Result<(), ArgError> {
+    match args.next() {
+        None => Ok(()),
+        Some(extra) => Err(ArgError(format!("unexpected argument `{extra}`"))),
+    }
+}
+
 /// The parsed value, or — on an error — the error and `usage` on
 /// stderr and exit code 2.
 pub fn or_exit<T>(parsed: Result<T, ArgError>, usage: &str) -> T {
@@ -91,6 +123,46 @@ mod tests {
                 "{text:?}: {error}"
             );
         }
+    }
+
+    fn strings<'a>(args: &'a [&str]) -> impl Iterator<Item = String> + 'a {
+        args.iter().map(|arg| (*arg).to_string())
+    }
+
+    #[test]
+    fn the_json_flag_is_optional_and_takes_one_path() {
+        assert_eq!(json_flag(strings(&[])), Ok(None));
+        assert_eq!(
+            json_flag(strings(&["--json", "r.json"])),
+            Ok(Some("r.json".into()))
+        );
+    }
+
+    #[test]
+    fn unknown_missing_and_extra_json_arguments_are_errors() {
+        for (args, message) in [
+            (&["--jsn", "r.json"][..], "unknown argument `--jsn`"),
+            (&["r.json"][..], "unknown argument `r.json`"),
+            (&["--json"][..], "--json: missing path"),
+            (&["--json", "r.json", "x"][..], "unexpected argument `x`"),
+        ] {
+            assert_eq!(
+                json_flag(strings(args)).unwrap_err().to_string(),
+                message,
+                "{args:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn leftover_arguments_are_errors() {
+        assert_eq!(no_more(strings(&[])), Ok(()));
+        assert_eq!(
+            no_more(strings(&["b.json", "2048"]))
+                .unwrap_err()
+                .to_string(),
+            "unexpected argument `b.json`"
+        );
     }
 
     #[test]

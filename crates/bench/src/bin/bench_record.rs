@@ -1,65 +1,53 @@
-//! Records the combined benchmark file for the 64-wide bit-sliced
-//! engines: the bulk-inference throughput comparison (experiment E5,
-//! including the `event_sliced_<N>` / `dualrail_sliced_<N>` rows and
-//! their speedups over the scalar event rows) and the serving
-//! saturation sweep (experiment E6, including the `event_sliced` and
-//! `dualrail_sliced` backends) in one JSON document, together with the
-//! observability capture (PR 10): an engine metrics snapshot embedded
-//! in the report's `meta`, a four-phase handshake VCD and a serving
-//! Chrome trace written next to the report.
+//! Records the simulated-time benchmark file: the wavefront-pipelined
+//! cycle summary (experiment E8) in one JSON document, together with
+//! the observability capture — an engine metrics snapshot embedded in
+//! the report's `meta`, a four-phase handshake VCD and a serving Chrome
+//! trace written next to the report.
 //!
 //! Usage: `cargo run -p tm-async-bench --release --bin bench_record
-//! [operands] [requests] [json-path]`
+//! [json-path]`
 //!
-//! The recorded comparison at the repository root is regenerated with
-//! `cargo run -p tm-async-bench --release --bin bench_record -- 4096
-//! 2048 BENCH_PR10.json` (which also writes `BENCH_PR10.vcd` and
-//! `BENCH_PR10.trace.json`).
+//! Without a path the bin prints the E8 summary only.  It records no
+//! wall-clock figure: host speed is measured by `perfbench/`.
 
-/// Operands for the (untimed) observability capture pass: enough to
-/// put every engine family in steady state and spill the sliced
-/// engines into a second 64-lane word, cheap enough not to noticeably
-/// extend a recorded run.
+use dualrail::Occupancy;
+use tm_async_bench::args::{no_more, or_exit};
+use tm_async_bench::pipeline_cycle;
+use tm_async_bench::workloads::{standard_config, standard_workload};
+
+/// Operands of the E8 run, as in the recorded `BENCH_PR8.json` and
+/// `BENCH_PR10.json`.
+const PIPELINE_OPERANDS: usize = 64;
+
+/// Operands for the observability capture pass: enough to put every
+/// engine family in steady state and spill the sliced engines into a
+/// second 64-lane word.
 const OBS_OPERANDS: usize = 96;
 
 /// Requests for the captured serving trace — a short session whose
 /// Chrome trace stays readable in a viewer.
 const OBS_REQUESTS: usize = 256;
 
-use tm_async_bench::args::{or_exit, positional};
-
-const USAGE: &str = "usage: bench_record [operands] [requests] [json-path]";
+const USAGE: &str = "usage: bench_record [json-path]";
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
-    let operands = or_exit(positional(args.next(), "operands", 4096, 1), USAGE);
-    let requests = or_exit(positional(args.next(), "requests", 2048, 64), USAGE);
     let json_path = args.next();
+    or_exit(no_more(args), USAGE);
 
-    println!("Experiment E5 — bulk-inference throughput ({operands} operands)\n");
-    // 64 streamed operands keep the event-driven rows in steady state
-    // (one-off simulator construction amortises below 2 % of the row).
-    let throughput = tm_async_bench::throughput::run(operands, 64, 2021);
-    print!("{}", throughput.render());
-
-    println!(
-        "\nExperiment E6 — serving saturation sweep ({requests} requests per open-loop point)\n"
-    );
-    let serving = tm_async_bench::serving::run(requests, 2021);
-    print!("{}", serving.render());
+    println!("Experiment E8 — wavefront-pipelined cycle time ({PIPELINE_OPERANDS} operands)\n");
+    let standard = standard_workload(PIPELINE_OPERANDS, 2021);
+    let cycle = pipeline_cycle::run(&standard.workload, Occupancy::Max);
+    print!("{}", cycle.render());
 
     if let Some(path) = json_path {
-        // Run metadata so a recorded comparison is reproducible: the
-        // bit-sliced lane width, the host parallelism the sharded rows
-        // scaled across, the simulator's per-phase event watchdog, the
-        // static-verification verdict for the measured netlist (a
-        // recorded run over a netlist that fails the verifier is not
-        // comparable with one that passes), and the engine metrics
-        // snapshot from a separate instrumented capture pass — the
-        // timed rows above run uninstrumented so the recorded numbers
-        // stay honest.
-        let datapath =
-            datapath::DualRailDatapath::generate(&tm_async_bench::workloads::standard_config())?;
+        // Run metadata so a recorded file is reproducible: the
+        // bit-sliced lane width, the host parallelism, the simulator's
+        // per-phase event watchdog, the static-verification verdict for
+        // the measured netlist (a record over a netlist that fails the
+        // verifier is not comparable with one that passes), and the
+        // engine metrics snapshot from the instrumented capture pass.
+        let datapath = datapath::DualRailDatapath::generate(&standard_config())?;
         let lint = tm_lint::lint_dual_rail(
             datapath.circuit(),
             &celllib::Library::umc_ll(),
@@ -80,10 +68,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             obs.snapshot.to_json().trim_end(),
         );
         let combined = format!(
-            "{{\n\"meta\": {},\n\"throughput\": {},\n\"serve_sweep\": {}\n}}\n",
+            "{{\n\"meta\": {},\n\"dualrail_pipelined_cycle\": {},\n\"workload_accuracy\": {:.4}\n}}\n",
             meta,
-            throughput.to_json().trim_end(),
-            serving.to_json().trim_end(),
+            cycle.to_json(),
+            standard.accuracy,
         );
         std::fs::write(&path, combined)?;
         println!("wrote {path}");

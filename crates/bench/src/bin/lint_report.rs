@@ -9,21 +9,20 @@
 //! [--json <path>]`
 //!
 //! With `--json`, a machine-readable array of reports is written to
-//! `<path>` (CI uploads it as an artifact).  Exits non-zero if any
-//! shipped netlist has error-severity findings.
+//! `<path>` (CI uploads it as an artifact).  Exits with code 1 if any
+//! shipped netlist has error-severity findings, and with code 2 on any
+//! other argument.
 
 use celllib::Library;
 use datapath::{CompletionScheme, DatapathOptions, DualRailDatapath, SingleRailDatapath};
+use tm_async_bench::args::{json_flag, or_exit};
 use tm_async_bench::workloads::standard_config;
 use tm_lint::{lint_dual_rail, lint_netlist, LintConfig, LintReport};
 
+const USAGE: &str = "usage: lint_report [--json <path>]";
+
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let json_path = match args.next().as_deref() {
-        Some("--json") => Some(args.next().expect("--json takes a path")),
-        Some(other) => Some(other.to_string()),
-        None => None,
-    };
+    let json_path = or_exit(json_flag(std::env::args().skip(1)), USAGE);
 
     let config = standard_config();
     let library = Library::umc_ll();

@@ -683,25 +683,41 @@ mod tests {
 
     #[test]
     fn campaign_terminates_and_classifies_every_operand() {
-        let operands = 4;
-        let report = run(operands, 2, 2, 7);
-        assert!(!report.rows.is_empty());
-        for row in &report.rows {
-            assert_eq!(
-                row.counts.total(),
-                operands,
-                "{} {} net {}",
-                row.engine,
-                row.kind,
-                row.net
+        for (operands, sites, seed) in [(4, 2, 7), (6, 3, 2021)] {
+            let report = run(operands, sites, 2, seed);
+            assert!(!report.rows.is_empty());
+            for row in &report.rows {
+                assert_eq!(
+                    row.counts.total(),
+                    operands,
+                    "{} {} net {}",
+                    row.engine,
+                    row.kind,
+                    row.net
+                );
+            }
+            // The campaign is a pure function of its inputs.
+            assert_eq!(run(operands, sites, 2, seed), report, "seed {seed}");
+            // Coverage is defined for every engine.
+            for engine in ENGINES {
+                let cov = report.engine_coverage(engine).expect("coverage row");
+                assert!((0.0..=1.0).contains(&cov.detection_coverage));
+            }
+            // The dual-rail engine catches injected faults through a
+            // typed detection (illegal codeword, protocol violation or
+            // watchdog) rather than absorbing them all.
+            let dual = report
+                .engine_coverage("dualrail_scalar")
+                .expect("coverage row");
+            assert!(
+                dual.totals.detected + dual.totals.timeout > 0,
+                "seed {seed}: dual-rail caught no injected fault"
             );
+            for row in report.accuracy.iter().filter(|r| r.stuck_faults == 0) {
+                assert_eq!(row.accuracy, 1.0, "{}: fault-free run", row.engine);
+            }
+            let rendered = report.render();
+            assert!(rendered.contains("coverage"));
         }
-        // Coverage is defined for every engine.
-        for engine in ENGINES {
-            let cov = report.engine_coverage(engine).expect("coverage row");
-            assert!((0.0..=1.0).contains(&cov.detection_coverage));
-        }
-        let rendered = report.render();
-        assert!(rendered.contains("coverage"));
     }
 }

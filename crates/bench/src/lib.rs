@@ -7,9 +7,8 @@
 //! | E2 | Figure 3 (latency vs supply voltage) | [`fig3`] | `cargo run -p tm-async-bench --release --bin fig3` |
 //! | E3 | Operand / delay probability distributions (contribution 2) | [`distributions`] | `cargo run -p tm-async-bench --release --bin distributions` |
 //! | E4 | Ablations: reduced vs full completion detection, input latches | [`ablation`] | `cargo run -p tm-async-bench --release --bin ablation` |
-//! | E5 | Bulk-inference throughput: scalar vs 64-wide batch vs event-driven | [`throughput`] | `cargo run -p tm-async-bench --release --bin throughput` |
-//! | E6 | Serving saturation sweep: offered vs achieved QPS, queueing/service tails, shed counts | [`serving`] | `cargo run -p tm-async-bench --release --bin serve_sweep` |
 //! | E7 | Fault-injection campaign: stuck-at/SEU/delay × engine, detection coverage, accuracy under fault | [`faults`] | `cargo run -p tm-async-bench --release --bin fault_campaign` |
+//! | E8 | Simulated cycle time of the wavefront-pipelined dual-rail driver vs the serial one | [`pipeline_cycle`] | `cargo run -p tm-async-bench --release --bin bench_record` |
 //!
 //! Absolute numbers will not match the paper (the substrate is a
 //! calibrated simulator, not the authors' Synopsys flow on proprietary
@@ -19,13 +18,16 @@
 //! Every experiment runs on the same workload ([`standard_workload`]): a
 //! Tsetlin machine trained on the synthetic keyword-spotting task, its
 //! exclude masks exported as the hardware's `e` inputs and its held-out
-//! test set streamed as operands.  Each strategy's outputs are verified
-//! against the workload's golden outcomes before any time is recorded —
-//! a fast wrong answer never makes it into a table.
+//! test set streamed as operands.  Each experiment checks its engines'
+//! outputs against the workload's golden outcomes before it records a
+//! figure.  Every figure is simulated time, area or a count: no module
+//! here reads a wall clock, and host speed is measured by `perfbench/`
+//! alone.
 //!
-//! The bins parse their positional numbers with [`args::positional`]: a
-//! missing argument takes its default, and a value that does not parse
-//! or lies out of range exits with code 2 and the bin's usage line.
+//! The bins parse their arguments strictly ([`args`]): a missing
+//! argument takes its default, and a value that does not parse, lies
+//! out of range or is not expected at all exits with code 2 and the
+//! bin's usage line.
 //!
 //! # Example
 //!
@@ -52,9 +54,9 @@ pub mod distributions;
 pub mod faults;
 pub mod fig3;
 pub mod obs_capture;
+pub mod pipeline_cycle;
 pub mod serving;
 pub mod table1;
-pub mod throughput;
 pub mod workloads;
 
 pub use workloads::{standard_config, standard_workload, StandardWorkload};

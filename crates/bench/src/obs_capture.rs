@@ -9,9 +9,10 @@
 //! and coalesced, what the four-phase waveform looked like, and how
 //! requests moved through the micro-batcher.  Everything here is
 //! deterministic — engine counters are thread-count invariant under
-//! the sharding contract (pinned by `obs_smoke` and the property
-//! tests), the waveform comes from a single streamed driver, and the
-//! serving trace uses a fixed service model on the virtual clock.
+//! the sharding contract (pinned by this module's tests and the
+//! property tests), the waveform comes from a single streamed driver,
+//! and the serving trace uses a fixed service model on the virtual
+//! clock.
 
 use std::sync::Arc;
 
@@ -52,7 +53,7 @@ pub struct ObsArtifacts {
 ///
 /// The snapshot is a pure function of `(operands, seed)` — `threads`
 /// only shards the work, so snapshots taken at different thread
-/// counts compare equal (`obs_smoke` gates on this).
+/// counts compare equal.
 ///
 /// # Panics
 ///
@@ -259,13 +260,19 @@ mod tests {
 
     #[test]
     fn engine_snapshot_is_thread_count_invariant_across_words() {
-        // 70 operands spill into a second 64-lane word, so the sliced
-        // engines shard words (not just lanes) across workers.
-        let reference = engine_metrics_snapshot(70, 7, 1);
-        assert_eq!(
-            reference,
-            engine_metrics_snapshot(70, 7, 3),
-            "3-thread multi-word snapshot diverged"
-        );
+        // 70 and 96 operands spill into a second 64-lane word, so the
+        // sliced engines shard words (not just lanes) across workers;
+        // 96 operands at seed 2021 is the capture `bench_record` embeds,
+        // also replayed at one thread.
+        for (operands, seed, thread_counts) in [(70, 7, &[3][..]), (96, 2021, &[1, 2, 7])] {
+            let reference = engine_metrics_snapshot(operands, seed, 1);
+            for &threads in thread_counts {
+                assert_eq!(
+                    reference,
+                    engine_metrics_snapshot(operands, seed, threads),
+                    "{operands} operands: {threads}-thread snapshot diverged"
+                );
+            }
+        }
     }
 }

@@ -272,25 +272,7 @@ impl<'a> DualRailInference<'a> {
         workload: &InferenceWorkload,
         config: dualrail::PipelineConfig,
     ) -> Result<(DualRailRun, PipelineReport), DatapathError> {
-        self.run_features_pipelined(workload.masks(), workload.feature_vectors(), config)
-    }
-
-    /// Explicit-batch form of
-    /// [`DualRailInference::run_workload_pipelined`].
-    ///
-    /// # Errors
-    ///
-    /// See [`DualRailInference::run_workload_pipelined`].
-    pub fn run_features_pipelined<V: AsRef<[bool]>>(
-        &self,
-        masks: &tsetlin::ExcludeMasks,
-        feature_vectors: &[V],
-        config: dualrail::PipelineConfig,
-    ) -> Result<(DualRailRun, PipelineReport), DatapathError> {
-        let operands = feature_vectors
-            .iter()
-            .map(|v| self.datapath.operand_bits(v.as_ref(), masks))
-            .collect::<Result<Vec<_>, _>>()?;
+        let operands = workload.dual_rail_operands(self.datapath)?;
         let (run, report) = self.driver.run_workload_pipelined(&operands, config)?;
         let outcomes = run
             .results

@@ -39,19 +39,29 @@ fn full_completion_datapath_is_clean() {
 fn small_and_wide_configs_are_clean() {
     for (features, clauses) in [(4, 4), (16, 8), (20, 6)] {
         let config = DatapathConfig::new(features, clauses).expect("config");
-        let datapath = DualRailDatapath::generate(&config).expect("generate");
-        assert_clean(&datapath, &format!("{features}f x {clauses}c"));
+        for completion in [CompletionScheme::Reduced, CompletionScheme::Full] {
+            let mut options = DatapathOptions::paper_defaults();
+            options.completion = completion;
+            let datapath = DualRailDatapath::generate_with(&config, options).expect("generate");
+            assert_clean(
+                &datapath,
+                &format!("{features}f x {clauses}c {completion:?}-completion"),
+            );
+        }
     }
 }
 
 #[test]
 fn single_rail_golden_netlist_is_structurally_clean() {
-    let config = DatapathConfig::new(12, 8).expect("config");
-    let single = datapath::SingleRailDatapath::generate(&config).expect("generate");
-    let report = lint_netlist(single.netlist());
-    assert!(
-        report.is_clean(),
-        "single-rail golden netlist must pass the structural family:\n{}",
-        report.render_text()
-    );
+    for (features, clauses) in [(12, 8), (4, 4), (16, 8), (20, 6)] {
+        let config = DatapathConfig::new(features, clauses).expect("config");
+        let single = datapath::SingleRailDatapath::generate(&config).expect("generate");
+        let report = lint_netlist(single.netlist());
+        assert!(
+            report.is_clean(),
+            "{features}f x {clauses}c single-rail golden netlist must pass the structural \
+             family:\n{}",
+            report.render_text()
+        );
+    }
 }

@@ -3,9 +3,8 @@
 //! Each [`MutationKind`] builds a small dual-rail circuit with exactly
 //! one deliberate defect and names the diagnostic code the verifier
 //! must raise for it.  The unmutated [`base_circuit`] is clean by
-//! construction, so the property the test suite (and the `lint_smoke`
-//! CI gate) checks is sharp: *mutant ⇒ expected code present, base ⇒
-//! empty report*.
+//! construction, so the property the test suite checks is sharp:
+//! *mutant ⇒ expected code present, base ⇒ empty report*.
 
 use dualrail::{DualRailNetlist, DualRailSignal, ReducedCompletion, SpacerPolarity};
 use netlist::CellKind;

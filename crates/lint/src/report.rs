@@ -7,7 +7,7 @@ use netlist::{CellId, NetId};
 ///
 /// The pre-flight verifier and the CI gate reject on [`Severity::Error`]
 /// only; shipped netlists are additionally expected to be free of
-/// warnings (`lint_smoke` asserts an empty report).
+/// warnings (`datapath`'s `lint_clean` tests assert an empty report).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Informational observation; never gates anything.

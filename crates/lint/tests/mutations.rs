@@ -27,20 +27,21 @@ fn base_circuit_is_clean() {
 #[test]
 fn every_mutation_kind_is_detected() {
     for kind in MutationKind::ALL {
-        let dr = mutant(kind, 1);
-        let report = lint(&dr);
-        assert!(
-            report.has_code(kind.expected_code()),
-            "mutant {} must raise {}:\n{}",
-            kind.as_str(),
-            kind.expected_code().as_str(),
-            report.render_text()
-        );
-        assert!(
-            report.error_count() > 0,
-            "mutant {} must carry at least one error-severity finding",
-            kind.as_str()
-        );
+        for seed in [0, 1, 17, 400] {
+            let report = lint(&mutant(kind, seed));
+            assert!(
+                report.has_code(kind.expected_code()),
+                "mutant {} (seed {seed}) must raise {}:\n{}",
+                kind.as_str(),
+                kind.expected_code().as_str(),
+                report.render_text()
+            );
+            assert!(
+                report.error_count() > 0,
+                "mutant {} (seed {seed}) must carry at least one error-severity finding",
+                kind.as_str()
+            );
+        }
     }
 }
 
@@ -67,17 +68,20 @@ fn detected_findings_are_errors_not_warnings() {
 #[test]
 fn verify_static_rejects_every_mutant() {
     for kind in MutationKind::ALL {
-        let dr = mutant(kind, 3);
-        let verdict = tm_lint::verify_static(&dr);
-        let report = verdict.expect_err("mutant must fail pre-flight verification");
-        assert!(
-            report.contains(kind.expected_code().as_str()),
-            "rendered rejection for {} must name {}: {report}",
-            kind.as_str(),
-            kind.expected_code().as_str()
-        );
+        for seed in [0, 1, 3, 17, 400] {
+            let verdict = tm_lint::verify_static(&mutant(kind, seed));
+            let report = verdict.expect_err("mutant must fail pre-flight verification");
+            assert!(
+                report.contains(kind.expected_code().as_str()),
+                "rendered rejection for {} (seed {seed}) must name {}: {report}",
+                kind.as_str(),
+                kind.expected_code().as_str()
+            );
+        }
     }
-    tm_lint::verify_static(&base_circuit(0)).expect("clean base must pass pre-flight");
+    for seed in [0, 1, 17, 400] {
+        tm_lint::verify_static(&base_circuit(seed)).expect("clean base must pass pre-flight");
+    }
 }
 
 proptest! {

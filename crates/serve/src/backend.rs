@@ -14,7 +14,6 @@
 //! | [`DualRailBackend`] | [`datapath::DualRailInference`] | four-phase dual-rail handshakes |
 //! | [`EventSlicedBackend`] | [`datapath::EventDrivenInference`] (sliced) | 64-lane bit-sliced event simulation |
 //! | [`DualRailSlicedBackend`] | [`datapath::DualRailInference`] (sliced) | 64-lane bit-sliced four-phase handshakes |
-//! | [`DualRailPipelinedBackend`] | [`datapath::DualRailInference`] (pipelined) | wavefront-pipelined four-phase token trains |
 //!
 //! The exclude masks (the trained model) bind at adapter construction:
 //! a server serves one model, and requests carry only features.
@@ -30,7 +29,6 @@ use datapath::{
     BatchGoldenModel, BatchInference, DualRailDatapath, DualRailInference, EventDrivenInference,
     InferenceOutcome, ParallelBatchInference,
 };
-use dualrail::PipelineConfig;
 use tsetlin::ExcludeMasks;
 
 use crate::error::ServeError;
@@ -322,56 +320,6 @@ impl Backend for DualRailSlicedBackend<'_> {
     }
 }
 
-/// Serving adapter over the wavefront-pipelined dual-rail engine
-/// ([`dualrail::PipelinedProtocolDriver`]): a micro-batch is one token
-/// train, with each operand injected as soon as the input stage
-/// acknowledges its predecessor's spacer instead of after the global
-/// `done` round-trip — outcomes bit-identical to [`DualRailBackend`],
-/// simulated cycle time well below the serial two-settle handshake.
-#[derive(Debug)]
-pub struct DualRailPipelinedBackend<'a> {
-    inner: DualRailInference<'a>,
-    masks: ExcludeMasks,
-    config: PipelineConfig,
-}
-
-impl<'a> DualRailPipelinedBackend<'a> {
-    /// Compiles the dual-rail datapath for wavefront-pipelined serving
-    /// with delays from `library`, token trains sharded across
-    /// `threads` workers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates driver-construction failures (e.g. a circuit that
-    /// fails to settle during initialisation).
-    pub fn new(
-        datapath: &'a DualRailDatapath,
-        library: &Library,
-        masks: ExcludeMasks,
-        threads: usize,
-        config: PipelineConfig,
-    ) -> Result<Self, ServeError> {
-        Ok(Self {
-            inner: DualRailInference::new(datapath, library, threads)?,
-            masks,
-            config,
-        })
-    }
-}
-
-impl Backend for DualRailPipelinedBackend<'_> {
-    fn name(&self) -> &'static str {
-        "dualrail_pipelined"
-    }
-
-    fn serve(&mut self, features: &[&[bool]]) -> Result<Vec<InferenceOutcome>, ServeError> {
-        let (run, _report) =
-            self.inner
-                .run_features_pipelined(&self.masks, features, self.config)?;
-        Ok(run.outcomes)
-    }
-}
-
 /// A self-healing backend wrapper: retries a failing primary, and after
 /// `failure_threshold` consecutive failed batches demotes it
 /// permanently ("opens the breaker") in favour of a golden fallback
@@ -612,27 +560,6 @@ mod tests {
             DualRailSlicedBackend::new(&datapath, &library, workload.masks().clone(), 2).unwrap();
         assert_eq!(dual.name(), "dualrail_sliced");
         assert_eq!(&dual.serve(&features).unwrap(), workload.expected());
-    }
-
-    #[test]
-    fn pipelined_adapter_serves_golden_outcomes() {
-        let config = DatapathConfig::new(4, 2).unwrap();
-        let library = Library::umc_ll();
-        let workload = InferenceWorkload::random(&config, 7, 0.6, 9).unwrap();
-        let features: Vec<&[bool]> = workload.samples().map(|s| s.features).collect();
-
-        let datapath = DualRailDatapath::generate(&config).unwrap();
-        let mut pipelined = DualRailPipelinedBackend::new(
-            &datapath,
-            &library,
-            workload.masks().clone(),
-            2,
-            PipelineConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(pipelined.name(), "dualrail_pipelined");
-        assert_eq!(pipelined.max_batch(), netlist::LANES);
-        assert_eq!(&pipelined.serve(&features).unwrap(), workload.expected());
     }
 
     #[test]

@@ -22,11 +22,10 @@
 //!   loop instead.
 //! * [`MicroBatcher`] + [`AdmissionPolicy`] — the deterministic batcher
 //!   state machine (see `batcher` module docs).
-//! * [`Backend`] — one trait, seven adapters ([`BatchBackend`],
+//! * [`Backend`] — one trait, six adapters ([`BatchBackend`],
 //!   [`ParallelBatchBackend`], [`EventDrivenBackend`],
-//!   [`DualRailBackend`], the bit-sliced [`EventSlicedBackend`] and
-//!   [`DualRailSlicedBackend`], and the wavefront-pipelined
-//!   [`DualRailPipelinedBackend`]).
+//!   [`DualRailBackend`], and the bit-sliced [`EventSlicedBackend`] and
+//!   [`DualRailSlicedBackend`]).
 //! * [`Server`] — the virtual-clock event loop; see `server` module
 //!   docs for the determinism contract.  **Every served outcome is
 //!   verified against the workload's golden outcome** before a report
@@ -86,9 +85,8 @@ pub mod telemetry;
 pub mod trace;
 
 pub use backend::{
-    Backend, BatchBackend, CircuitBreaker, DualRailBackend, DualRailPipelinedBackend,
-    DualRailSlicedBackend, EventDrivenBackend, EventSlicedBackend, FlakyBackend,
-    ParallelBatchBackend,
+    Backend, BatchBackend, CircuitBreaker, DualRailBackend, DualRailSlicedBackend,
+    EventDrivenBackend, EventSlicedBackend, FlakyBackend, ParallelBatchBackend,
 };
 pub use batcher::{AdmissionPolicy, MicroBatcher, PendingRequest};
 pub use error::ServeError;

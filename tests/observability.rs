@@ -112,6 +112,10 @@ proptest! {
 fn handshake_vcd_matches_the_golden_fixture() {
     let vcd = tm_async_bench::obs_capture::waveform_vcd(2021);
     tm_async::obs::vcd_is_well_formed(&vcd).expect("capture must be well-formed");
+    assert!(
+        vcd.contains("$var wire 2 "),
+        "waveform must carry a 2-bit dual-rail codeword vector"
+    );
     assert_eq!(
         vcd,
         include_str!("fixtures/dual_rail_handshake.vcd"),
@@ -130,6 +134,10 @@ fn handshake_vcd_matches_the_golden_fixture() {
 fn serve_trace_is_deterministic_json() {
     let trace = tm_async_bench::obs_capture::serve_trace_json(64, 2021);
     tm_async::obs::json_is_well_formed(&trace).expect("trace must parse");
+    assert!(
+        trace.contains("\"ph\""),
+        "trace must contain span/instant events"
+    );
     assert_eq!(
         trace,
         tm_async_bench::obs_capture::serve_trace_json(64, 2021),

@@ -777,10 +777,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Serving through the event-driven and dual-rail simulation
-    /// backends also reproduces the golden outcomes exactly, with
-    /// thread-count-invariant reports under a fixed service model —
-    /// the serving layer composes with the reset-phase sharding
-    /// contract unchanged.
+    /// backends, scalar and bit-sliced, also reproduces the golden
+    /// outcomes exactly, with thread-count-invariant reports under a
+    /// fixed service model — the serving layer composes with the
+    /// reset-phase sharding contract unchanged.
     #[test]
     fn served_simulation_backends_match_golden_and_threads_are_invisible(
         seed in 0u64..10_000,
@@ -788,8 +788,8 @@ proptest! {
     ) {
         use tm_async::datapath::{BatchGoldenModel, InferenceWorkload};
         use tm_async::serve::{
-            Backend, DualRailBackend, EventDrivenBackend, ServeConfig, Server, ServeReport,
-            ServiceModel, Trace,
+            Backend, DualRailBackend, DualRailSlicedBackend, EventDrivenBackend,
+            EventSlicedBackend, ServeConfig, Server, ServeReport, ServiceModel, Trace,
         };
 
         let config = DatapathConfig::new(3, 2).expect("valid");
@@ -809,21 +809,26 @@ proptest! {
             server.run(&trace).expect("serve run")
         };
 
-        for backend_kind in ["event_driven", "dual_rail"] {
+        for backend_kind in ["event_driven", "dual_rail", "event_sliced", "dualrail_sliced"] {
             let mut reference: Option<ServeReport> = None;
             for threads in [1usize, 2, 7] {
+                let masks = workload.masks().clone();
                 let backend: Box<dyn Backend + Send> = match backend_kind {
                     "event_driven" => Box::new(
-                        EventDrivenBackend::new(
-                            &model, &library, workload.masks().clone(), threads,
-                        )
-                        .expect("backend"),
+                        EventDrivenBackend::new(&model, &library, masks, threads)
+                            .expect("backend"),
+                    ),
+                    "dual_rail" => Box::new(
+                        DualRailBackend::new(&datapath, &library, masks, threads)
+                            .expect("backend"),
+                    ),
+                    "event_sliced" => Box::new(
+                        EventSlicedBackend::new(&model, &library, masks, threads)
+                            .expect("backend"),
                     ),
                     _ => Box::new(
-                        DualRailBackend::new(
-                            &datapath, &library, workload.masks().clone(), threads,
-                        )
-                        .expect("backend"),
+                        DualRailSlicedBackend::new(&datapath, &library, masks, threads)
+                            .expect("backend"),
                     ),
                 };
                 let report = run(backend);
