@@ -33,6 +33,27 @@ fn the_standard_pipelined_cycle_figures_are_pinned() {
     );
 }
 
+/// Capping the standard run at two tokens in flight changes nothing:
+/// its measured schedule never holds more than two, so the summary is
+/// the `Max` one, field for field.
+#[test]
+fn the_standard_pipelined_cycle_figures_are_pinned_at_two_tokens() {
+    let standard = standard_workload(64, 2021);
+    let summary = pipeline_cycle::run(&standard.workload, Occupancy::Two);
+    assert_eq!(
+        summary,
+        PipelineCycleSummary {
+            operands: 64,
+            occupancy: 2,
+            serial_cycle_median_ps: 1989.8999999999999,
+            pipelined_cycle_median_ps: 879.0080000000016,
+            cycle_speedup: 2.263801922166802,
+            token_latency_max_ps: 1273.3600000000001,
+            tokens_per_simulated_sec: 1089675157.6198082,
+        }
+    );
+}
+
 /// An occupancy cap of two also beats the serial cycle.
 #[test]
 fn two_tokens_in_flight_beat_the_serial_cycle() {
