@@ -42,8 +42,6 @@ pub enum DualRailError {
     NoOutputs,
     /// The simulator failed to reach quiescence (oscillation).
     SimulationDiverged,
-    /// Static timing analysis failed.
-    Timing(sta::StaError),
     /// A vector of operand bits had the wrong width.
     OperandWidthMismatch {
         /// Number of dual-rail inputs of the circuit.
@@ -101,7 +99,6 @@ impl fmt::Display for DualRailError {
             DualRailError::SimulationDiverged => {
                 write!(f, "simulation failed to settle (possible oscillation)")
             }
-            DualRailError::Timing(e) => write!(f, "timing analysis failed: {e}"),
             DualRailError::OperandWidthMismatch { expected, got } => write!(
                 f,
                 "operand has {got} bits but the circuit has {expected} dual-rail inputs"
@@ -120,7 +117,6 @@ impl Error for DualRailError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             DualRailError::Netlist(e) => Some(e),
-            DualRailError::Timing(e) => Some(e),
             _ => None,
         }
     }
@@ -129,12 +125,6 @@ impl Error for DualRailError {
 impl From<NetlistError> for DualRailError {
     fn from(value: NetlistError) -> Self {
         DualRailError::Netlist(value)
-    }
-}
-
-impl From<sta::StaError> for DualRailError {
-    fn from(value: sta::StaError) -> Self {
-        DualRailError::Timing(value)
     }
 }
 
@@ -162,9 +152,6 @@ mod tests {
         let nl_err = NetlistError::DuplicateName("x".into());
         let err: DualRailError = nl_err.clone().into();
         assert_eq!(err, DualRailError::Netlist(nl_err));
-        let sta_err = sta::StaError::EmptyNetlist;
-        let err: DualRailError = sta_err.clone().into();
-        assert_eq!(err, DualRailError::Timing(sta_err));
     }
 
     #[test]

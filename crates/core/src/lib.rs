@@ -30,6 +30,10 @@
 //!   on the bit-sliced event kernel: up to 64 operand lanes per word,
 //!   per-lane results bit-identical to a phase-rebased streamed driver
 //!   ([`ProtocolDriver::enable_phase_rebase`]);
+//! * [`pipeline`] — [`PipelinedProtocolDriver`], the wavefront-pipelined
+//!   four-phase environment: each train is profiled serially, scheduled
+//!   from the measured wave times and replayed overlapped, with every
+//!   decoded figure bit-identical to the serial driver;
 //! * [`timing`] — throughput/latency bookkeeping combining protocol
 //!   measurements with the static grace period.
 //!
@@ -97,10 +101,7 @@ pub use encoding::{DualRailValue, OneOfNValue, SpacerPolarity};
 pub use error::DualRailError;
 pub use expand::{expand_to_dual_rail, ExpansionStyle};
 pub use parallel::{ParallelProtocolDriver, ParallelProtocolRun};
-pub use pipeline::{
-    Occupancy, PipelineConfig, PipelinedProtocolDriver, SlicedPipelinedProtocolDriver,
-    WavefrontTiming,
-};
+pub use pipeline::{Occupancy, PipelineConfig, PipelinedProtocolDriver};
 pub use protocol::{OperandResult, ProtocolDriver};
 pub use sliced::{rebased_reference_driver, SlicedProtocolDriver};
 pub use timing::ThroughputReport;

@@ -57,11 +57,10 @@ use std::sync::Arc;
 use celllib::Library;
 use exec::Executor;
 use gatesim::{EngineProgram, LatencyReport, Logic, ParallelEventSim, PipelineReport, Simulator};
-use sta::GracePeriod;
 
 use crate::{
     DualRailError, DualRailNetlist, OperandResult, PipelineConfig, PipelinedProtocolDriver,
-    ProtocolDriver, SlicedPipelinedProtocolDriver, SlicedProtocolDriver, WavefrontTiming,
+    ProtocolDriver, SlicedProtocolDriver,
 };
 
 /// Results of one sharded workload run: every operand's full
@@ -111,12 +110,6 @@ pub struct ParallelProtocolDriver<'a> {
     /// Canonical quiescent state, captured once from a settled reference
     /// driver and verified by every worker after every cycle.
     snapshot: Arc<[Logic]>,
-    grace: Option<GracePeriod>,
-    /// Wavefront timing bounds for the pipelined entry points, computed
-    /// once at construction (workers carry no library reference); the
-    /// analysis error, if any, is deferred until a pipelined run asks
-    /// for the bounds.
-    timing: Result<WavefrontTiming, DualRailError>,
     check_monotonic: bool,
     /// Shared metrics registry + prefix; when set, every worker driver
     /// attaches protocol- and engine-level instruments under identical
@@ -133,8 +126,7 @@ impl<'a> ParallelProtocolDriver<'a> {
     /// # Errors
     ///
     /// Returns [`DualRailError::SimulationDiverged`] if the circuit
-    /// fails to settle during initialisation; timing analysis failures
-    /// are tolerated (the grace period is then unavailable).
+    /// fails to settle during initialisation.
     pub fn new(
         circuit: &'a DualRailNetlist,
         library: &Library,
@@ -153,8 +145,6 @@ impl<'a> ParallelProtocolDriver<'a> {
         library: &Library,
         executor: Executor,
     ) -> Result<Self, DualRailError> {
-        let observed = circuit.observed_output_nets();
-        let grace = GracePeriod::compute(circuit.netlist(), library, &observed).ok();
         let program = Arc::new(EngineProgram::new(circuit.netlist(), library));
         // Pre-flight on the calling thread: a reference driver settles
         // the initial spacer from X (catching divergence as an error
@@ -171,7 +161,6 @@ impl<'a> ParallelProtocolDriver<'a> {
         let reference = ProtocolDriver::from_program(circuit, Arc::clone(&program))?;
         let snapshot = reference.quiescent_snapshot();
         drop(reference);
-        let timing = WavefrontTiming::compute(circuit, library, &snapshot);
         // The C-element latches and completion tree make the netlist
         // sequential; sharding is sound because — and only because — the
         // verified reset-phase contract restores one quiescent state per
@@ -181,8 +170,6 @@ impl<'a> ParallelProtocolDriver<'a> {
             circuit,
             sim,
             snapshot,
-            grace,
-            timing,
             check_monotonic: true,
             metrics: None,
         })
@@ -225,13 +212,6 @@ impl<'a> ParallelProtocolDriver<'a> {
     #[must_use]
     pub fn circuit(&self) -> &'a DualRailNetlist {
         self.circuit
-    }
-
-    /// The statically computed grace period, if timing analysis
-    /// succeeded (computed once; workers never repeat it).
-    #[must_use]
-    pub fn grace_period(&self) -> Option<&GracePeriod> {
-        self.grace.as_ref()
     }
 
     /// The canonical quiescent snapshot every cycle is verified against.
@@ -346,13 +326,6 @@ impl<'a> ParallelProtocolDriver<'a> {
         Ok(ParallelProtocolRun::from_results(results))
     }
 
-    /// The wavefront timing bounds the pipelined entry points schedule
-    /// against, if the analysis succeeded at construction.
-    #[must_use]
-    pub fn wavefront_timing(&self) -> Option<&WavefrontTiming> {
-        self.timing.as_ref().ok()
-    }
-
     /// Like [`ParallelProtocolDriver::run_workload`], but each worker
     /// drives its claimed operands through the wavefront-pipelined
     /// schedule ([`PipelinedProtocolDriver::run_train`]): trains of
@@ -371,14 +344,14 @@ impl<'a> ParallelProtocolDriver<'a> {
     /// Returns the per-operand results plus a [`PipelineReport`]
     /// separating token latency (spacer→valid, unchanged by
     /// pipelining) from cycle time (injection-to-injection interval,
-    /// the pipelined figure of merit).
+    /// the pipelined figure of merit), with the peak number of tokens
+    /// in flight measured over every train
+    /// ([`PipelinedProtocolDriver::peak_in_flight`]).
     ///
     /// # Errors
     ///
-    /// Propagates the wavefront timing analysis error if the bounds
-    /// could not be computed at construction, and otherwise the first
-    /// per-token error in operand order — the typed hazard,
-    /// divergence and contract violations of
+    /// Propagates the first per-token error in operand order — the
+    /// typed hazard, divergence and contract violations of
     /// [`PipelinedProtocolDriver::run_train`].
     pub fn run_workload_pipelined(
         &self,
@@ -386,90 +359,36 @@ impl<'a> ParallelProtocolDriver<'a> {
         config: PipelineConfig,
     ) -> Result<(ParallelProtocolRun, PipelineReport), DualRailError> {
         let circuit = self.circuit;
-        let timing = self.timing.clone()?;
         let check_monotonic = self.check_monotonic;
         let train_len = config.train_length.max(1);
         let metrics = self.protocol_metrics("scalar");
-        let results = self.sim.run_trains_with(
+        let tokens = self.sim.run_trains_with(
             operands,
             train_len,
             |sim: Simulator<'a>| -> Result<PipelinedProtocolDriver<'a>, DualRailError> {
-                let mut driver = PipelinedProtocolDriver::from_simulator_with_timing(
-                    circuit,
-                    sim,
-                    timing.clone(),
-                    config,
-                )?;
+                let mut driver = PipelinedProtocolDriver::from_simulator(circuit, sim, config)?;
                 driver.set_monotonicity_check(check_monotonic);
                 if let Some(handles) = metrics.clone() {
                     driver.attach_protocol_metrics(handles);
                 }
                 Ok(driver)
             },
+            // Each token carries its train's peak occupancy.
             |driver, train: &[Vec<bool>]| match driver {
                 Ok(driver) => match driver.run_train(train) {
-                    Ok(results) => results.into_iter().map(Ok).collect(),
+                    Ok(results) => {
+                        let peak = driver.peak_in_flight();
+                        results.into_iter().map(|r| Ok((r, peak))).collect()
+                    }
                     Err(error) => train.iter().map(|_| Err(error.clone())).collect(),
                 },
                 Err(error) => train.iter().map(|_| Err(error.clone())).collect(),
             },
         );
-        let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let report = pipeline_report(&results, &timing, config);
-        Ok((ParallelProtocolRun::from_results(results), report))
-    }
-
-    /// The 64-wide analogue of
-    /// [`ParallelProtocolDriver::run_workload_pipelined`]: each worker
-    /// cuts its claimed trains into words of up to 64 operand lanes and
-    /// drives whole words through the wavefront schedule
-    /// ([`SlicedPipelinedProtocolDriver::run_train`]), composing the
-    /// word-level and wavefront-level throughput multipliers.
-    /// `config.train_length` counts **words** per train here.
-    ///
-    /// # Errors
-    ///
-    /// As [`ParallelProtocolDriver::run_workload_pipelined`];
-    /// divergence is word- and train-global (lanes share one event
-    /// budget).
-    pub fn run_workload_pipelined_sliced(
-        &self,
-        operands: &[Vec<bool>],
-        config: PipelineConfig,
-    ) -> Result<(ParallelProtocolRun, PipelineReport), DualRailError> {
-        let circuit = self.circuit;
-        let snapshot = &self.snapshot;
-        let timing = self.timing.clone()?;
-        let check_monotonic = self.check_monotonic;
-        let words_per_train = config.train_length.max(1);
-        let metrics = self.protocol_metrics("sliced");
-        let results = self.sim.run_word_trains_with(
-            operands,
-            words_per_train,
-            |sim| -> Result<SlicedPipelinedProtocolDriver<'a>, DualRailError> {
-                let mut driver = SlicedPipelinedProtocolDriver::from_sliced_simulator(
-                    circuit,
-                    sim,
-                    Arc::clone(snapshot),
-                    timing.clone(),
-                    config,
-                    check_monotonic,
-                )?;
-                if let Some(handles) = metrics.clone() {
-                    driver.attach_protocol_metrics(handles);
-                }
-                Ok(driver)
-            },
-            |driver, train: &[Vec<bool>]| match driver {
-                Ok(driver) => match driver.run_train(train) {
-                    Ok(results) => results.into_iter().map(Ok).collect(),
-                    Err(error) => train.iter().map(|_| Err(error.clone())).collect(),
-                },
-                Err(error) => train.iter().map(|_| Err(error.clone())).collect(),
-            },
-        );
-        let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let report = pipeline_report(&results, &timing, config);
+        let tokens = tokens.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let occupancy = tokens.iter().map(|&(_, peak)| peak).max().unwrap_or(0);
+        let results: Vec<OperandResult> = tokens.into_iter().map(|(r, _)| r).collect();
+        let report = pipeline_report(&results, occupancy);
         Ok((ParallelProtocolRun::from_results(results), report))
     }
 }
@@ -477,12 +396,9 @@ impl<'a> ParallelProtocolDriver<'a> {
 /// Aggregates per-token results into the pipelined throughput report:
 /// token latency from the spacer→valid measurements, cycle time from
 /// the per-token injection intervals (each train's last token closes on
-/// the train's drain, so the cycle entries sum to the makespan).
-fn pipeline_report(
-    results: &[OperandResult],
-    timing: &WavefrontTiming,
-    config: PipelineConfig,
-) -> PipelineReport {
+/// the train's drain, so the cycle entries sum to the makespan), and
+/// the measured peak `occupancy`.
+fn pipeline_report(results: &[OperandResult], occupancy: usize) -> PipelineReport {
     let token_latency =
         LatencyReport::from_latencies(results.iter().map(|r| r.s_to_v_latency_ps).collect());
     let cycles: Vec<f64> = results.iter().map(|r| r.cycle_time_ps).collect();
@@ -492,7 +408,7 @@ fn pipeline_report(
         cycle: LatencyReport::from_latencies(cycles),
         makespan_ps,
         tokens: results.len(),
-        occupancy: timing.occupancy_cap(config.separation_margin, config.occupancy),
+        occupancy,
     }
 }
 
@@ -564,7 +480,6 @@ mod tests {
         let first = driver.run_workload(&operands).unwrap();
         let second = driver.run_workload(&operands).unwrap();
         assert_eq!(first, second, "a driver is reusable across workloads");
-        assert!(driver.grace_period().is_some());
         assert!(std::ptr::eq(driver.circuit(), &dr));
         assert_eq!(driver.quiescent_snapshot().len(), dr.netlist().net_count());
     }

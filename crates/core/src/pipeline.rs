@@ -1,8 +1,8 @@
-//! Wavefront-pipelined four-phase protocol drivers: the spacer wave of
-//! operand `k` chases its data wave through the combinational cloud, and
-//! operand `k+1` is injected as soon as the separation bounds and the
-//! input-stage acknowledge allow — instead of waiting for the global
-//! `done` round-trip.
+//! The wavefront-pipelined four-phase protocol driver: the spacer wave
+//! of operand `k` chases its data wave through the combinational cloud,
+//! and operand `k+1` is injected as soon as the measured separation
+//! gaps and the input-stage acknowledge allow — instead of waiting for
+//! the global `done` round-trip.
 //!
 //! # Why the serial driver leaves throughput on the table
 //!
@@ -17,14 +17,15 @@
 //! interval then shrinks from a full round-trip to the sum of two
 //! *local* separation gaps.
 //!
-//! # Profile-guided scheduling (the scalar driver)
+//! # Profile-guided scheduling
 //!
 //! Static separation bounds must pair the *latest* possible activity
 //! of one token against the *earliest* possible activity of the next,
 //! over all operand pairs.  On datapaths whose final decision gates
 //! have a wide arrival spread (a majority-vote comparator does), that
-//! pessimism eats most of the pipelining headroom.  The scalar
-//! [`PipelinedProtocolDriver`] therefore runs every train twice:
+//! pessimism eats most of the pipelining headroom.
+//! [`PipelinedProtocolDriver`] therefore schedules from measured
+//! per-token cost, and runs every train twice:
 //!
 //! 1. **Profile pass** — each token runs the exact contract-mode
 //!    serial cycle while the driver records every net's measured rise
@@ -61,57 +62,34 @@
 //! sharded runs bit-identical at any thread count.  Injection is
 //! additionally gated on the dynamic input-stage acknowledge (instant
 //! when fault-free; under faults the train parks there until the
-//! watchdog trips).
+//! watchdog trips).  A train-level transition-count audit (each
+//! observed rail switches exactly twice per token that activated it)
+//! cross-checks the decode against the simulator's own activity
+//! counters.
 //!
-//! # The static wavefront schedule (the sliced driver)
+//! # Measured occupancy
 //!
-//! The 64-lane word driver cannot profile per-lane first-change times
-//! (lanes share one event queue), so it schedules whole words with
-//! *static* bounds from [`WavefrontTiming`]:
-//!
-//! * **settle bound** — the maximum arrival time over every net
-//!   ([`sta::ArrivalAnalysis`]);
-//! * **per-net first-change times** `er(n)` — an exact subset-
-//!   enumeration DP for the earliest time net `n` can first leave its
-//!   spacer level after a valid edge at the inputs;
-//! * **rise gap** `g₂` — the maximum over cells of
-//!   `latest(output) − earliest(any input)`;
-//! * **spacer gap** `g₁` — the smallest valid→spacer edge offset
-//!   (found by bisection over a fall-propagation DP, with C-elements
-//!   modelled as last-input-wins) such that every cell finishes its
-//!   rise response before the return-to-zero wave first touches it.
-//!
-//! At [`Occupancy::Two`] the gaps constrain every cell; at
-//! [`Occupancy::Max`] they constrain the **datapath cone** only (the
-//! completion network is observer logic, so its `done` pulses may
-//! merge between tokens — which is why per-token `done` latency is
-//! unavailable there, and why real wavefront-pipelined silicon uses
-//! per-stage completion).  Decoding uses the recorded transition
-//! stream: each departure from the spacer level is attributed to the
-//! unique injection window `[A_k + er(n), A_k + lf(n)]` it falls into,
-//! the following return-to-zero belongs to the same token, and any
-//! transition outside every window, double activation, or missing or
-//! surplus `done` edge is a typed violation.  A train-level
-//! transition-count audit (each observed rail switches exactly twice
-//! per token that activated it) cross-checks the attribution against
-//! the simulator's own activity counters in both drivers.
+//! Token `k` is in flight from its injection `A_k` until its spacer
+//! wave has drained, at `B_k + drain_k`, where `drain_k` is its
+//! profiled spacer-phase settle time.  The depth a train reaches is
+//! the most tokens in flight at any of its injections
+//! ([`PipelinedProtocolDriver::peak_in_flight`]): [`Occupancy`] caps
+//! it, but the operands decide it.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use celllib::Library;
-use gatesim::{EngineProgram, Logic, Simulator, SlicedSimulator, StepOutcome};
-use netlist::{topological_order, CellKind, NetId, NetlistError, LANES};
-use sta::ArrivalAnalysis;
+use gatesim::{Logic, Simulator, StepOutcome};
+use netlist::{CellKind, NetId};
 
 use crate::protocol::ProtocolDriver;
-use crate::sliced::SlicedProtocolDriver;
 use crate::{DualRailError, DualRailNetlist, DualRailValue, OneOfNValue, OperandResult};
 
-/// Slack added to window comparisons to absorb float rounding in the
-/// event times (delays accumulate in different association orders than
-/// the static bounds).
-const WINDOW_EPS_PS: f64 = 1e-6;
+/// Slack allowed between a replayed transition time and its
+/// schedule-shifted profile time: the replay accumulates delays on one
+/// absolute clock and the profile on a per-token rebased one, so the
+/// two sums associate differently.
+const REPLAY_EPS_PS: f64 = 1e-6;
 
 /// Fixed pad added to every measured separation gap so two wavefronts
 /// never share a simulator time slice at any cell: a merged slice would
@@ -120,7 +98,7 @@ const WINDOW_EPS_PS: f64 = 1e-6;
 /// argument even when the measured gap is exactly zero.
 const GAP_PAD_PS: f64 = 1.0;
 
-/// How many tokens the driver keeps in flight.
+/// How many tokens the driver may keep in flight.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Occupancy {
     /// Serial operation: each token runs a complete four-phase cycle
@@ -130,38 +108,29 @@ pub enum Occupancy {
     One,
     /// At most two tokens in flight: a data wave and its predecessor's
     /// return-to-zero wave overlap, but each next injection waits for
-    /// the token before last to drain completely.  The scalar driver
-    /// enforces the cap on its measured schedule; the sliced driver
-    /// widens the static injection interval to half the single-token
-    /// span `g₁ + settle`.  Completion stays token-resolved in both.
+    /// the token before last to drain completely, as measured by its
+    /// profile.
     #[default]
     Two,
-    /// As deep as the separation constraints allow.  The scalar driver
-    /// injects at the measured per-token-pair gaps, which cover every
-    /// cell including the completion network, so `done` stays
-    /// token-resolved even here.  The sliced driver injects at the
-    /// static interval `g₁ + g₂` computed over the **datapath cone**
-    /// only, leaving the completion network's observer cone
-    /// unconstrained: a single global `done` cannot token-resolve a
-    /// multi-token word train (which is why genuinely
-    /// wavefront-pipelined silicon uses per-stage completion), so its
-    /// `done` pulses may merge, [`OperandResult::done_latency_ps`] is
-    /// `None`, and correctness rests on the injection-window
-    /// attribution plus the train-level transition-count audit.
+    /// As deep as the separation constraints allow: the driver injects
+    /// at the measured per-token-pair gaps.  They cover every cell,
+    /// the completion network included, so `done` stays token-resolved
+    /// even here.  How many tokens that puts in flight depends on the
+    /// operands; [`PipelinedProtocolDriver::peak_in_flight`] reports
+    /// it.
     Max,
 }
 
-/// Tuning knobs for the wavefront-pipelined drivers.
+/// Tuning knobs for the wavefront-pipelined driver.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PipelineConfig {
-    /// Tokens kept in flight (see [`Occupancy`]).
+    /// Tokens the driver may keep in flight (see [`Occupancy`]).
     pub occupancy: Occupancy,
-    /// Tokens per train for the scalar driver; **words** per train for
-    /// the sliced driver.  A train shares in-flight circuit state, so
-    /// it is the unit of sharding and of the transition-count audit.
+    /// Tokens per train.  A train shares in-flight circuit state, so it
+    /// is the unit of sharding and of the transition-count audit.
     pub train_length: usize,
-    /// Fractional safety margin applied to the static scheduling
-    /// bounds (the settle bound and both separation gaps).
+    /// Fractional safety margin applied to both measured separation
+    /// gaps, on top of a fixed 1 ps slice-separation pad.
     pub separation_margin: f64,
     /// **Test hook.** When `false`, the driver never drives the spacer
     /// phase and injects each next token directly on top of the
@@ -183,340 +152,6 @@ impl Default for PipelineConfig {
     }
 }
 
-/// The static timing bounds behind the wavefront schedule, computed
-/// once per circuit and shared (cheaply cloned) by every worker.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WavefrontTiming {
-    /// Maximum arrival time over every net, in picoseconds (margin not
-    /// yet applied).
-    max_internal_ps: f64,
-    /// Raw spacer→valid separation `g₂` over **every** cell: max of
-    /// `latest(output) − earliest(any input)`, clamped at zero.  Used
-    /// at [`Occupancy::Two`], where `done` stays token-resolved.
-    rise_gap_raw_ps: f64,
-    /// Raw valid→spacer separation `g₁` over every cell, from the
-    /// fall-propagation bisection.
-    fall_gap_raw_ps: f64,
-    /// Raw `g₂` over the datapath cone only (cells whose output cone
-    /// reaches a decoded output or probe; the completion network's
-    /// observer cone is left unconstrained).  Used at
-    /// [`Occupancy::Max`], where `done` pulses may merge.
-    rise_gap_deep_raw_ps: f64,
-    /// Raw `g₁` over the datapath cone only.
-    fall_gap_deep_raw_ps: f64,
-    /// Earliest first change per net after a phase edge at the primary
-    /// inputs (infinity = never changes).
-    earliest_ps: Vec<f64>,
-    /// Latest change per net (the arrival bound).
-    latest_ps: Vec<f64>,
-    /// Outputs of the input-stage cells (cells all of whose inputs are
-    /// primary inputs — the C-element latch layer on latched circuits),
-    /// whose return to the quiescent state is the dynamic injection
-    /// acknowledge.
-    stage_nets: Vec<NetId>,
-}
-
-impl WavefrontTiming {
-    /// Runs the static analyses over `circuit` at `library`'s delays:
-    /// a max-arrival pass ([`ArrivalAnalysis`]), an exact
-    /// earliest-first-change pass over the settled `spacer` state, and
-    /// a bisection for the valid→spacer gap.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DualRailError::Timing`] if timing analysis fails and
-    /// [`DualRailError::Netlist`] if the netlist has a combinational
-    /// cycle.
-    #[allow(clippy::too_many_lines)]
-    pub fn compute(
-        circuit: &DualRailNetlist,
-        library: &Library,
-        spacer: &[Logic],
-    ) -> Result<Self, DualRailError> {
-        let nl = circuit.netlist();
-        let analysis = ArrivalAnalysis::compute(nl, library)?;
-        let order = topological_order(nl).map_err(|e| NetlistError::CombinationalCycle(e.net))?;
-        let latest: Vec<f64> = (0..nl.net_count())
-            .map(|i| analysis.arrival_ps(NetId::from_index(i)))
-            .collect();
-
-        // Earliest first change after a phase edge at the primary
-        // inputs; infinity = "never changes" (tie cells, nets behind
-        // flip-flops).
-        let mut earliest = vec![f64::INFINITY; nl.net_count()];
-        for net in nl.primary_inputs() {
-            earliest[net.index()] = 0.0;
-        }
-        for &cid in &order {
-            let cell = nl.cell(cid);
-            let kind = cell.kind();
-            let inputs = cell.inputs();
-            if inputs.is_empty() || kind == CellKind::Dff {
-                continue;
-            }
-            let out = cell.output();
-            let delay = library.cell_delay(kind, nl.net(out).fanout().max(1));
-            let to_bool = |v: Logic| match v {
-                Logic::Zero => Some(false),
-                Logic::One => Some(true),
-                Logic::Unknown => None,
-            };
-            let spacer_in: Option<Vec<bool>> =
-                inputs.iter().map(|&n| to_bool(spacer[n.index()])).collect();
-            let spacer_out = to_bool(spacer[out.index()]);
-            let best = match (spacer_in, spacer_out) {
-                (Some(base), Some(quiet)) => {
-                    // Exact: try every non-empty input subset (<= 5
-                    // inputs in the library, so <= 31 subsets).
-                    let mut best = f64::INFINITY;
-                    for subset in 1u32..(1 << inputs.len()) {
-                        let flipped: Vec<bool> = base
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &b)| if subset >> i & 1 == 1 { !b } else { b })
-                            .collect();
-                        if kind.eval(&flipped, Some(quiet)) == quiet {
-                            continue;
-                        }
-                        let ready = (0..inputs.len())
-                            .filter(|&i| subset >> i & 1 == 1)
-                            .map(|i| earliest[inputs[i].index()])
-                            .fold(f64::NEG_INFINITY, f64::max);
-                        best = best.min(ready + delay);
-                    }
-                    best
-                }
-                // An X in the settled state: fall back to the
-                // conservative single-input bound.
-                _ => {
-                    inputs
-                        .iter()
-                        .map(|&n| earliest[n.index()])
-                        .fold(f64::INFINITY, f64::min)
-                        + delay
-                }
-            };
-            let slot = &mut earliest[out.index()];
-            *slot = slot.min(best);
-        }
-
-        // The datapath cone: nets that (transitively) feed a decoded
-        // output or probe.  Everything else — in practice the
-        // per-output OR gates and the C-element completion tree behind
-        // `done` — is observer logic: it reads the datapath but feeds
-        // nothing the decode depends on, so [`Occupancy::Max`] leaves
-        // it unconstrained and lets its pulses merge.
-        let mut in_cone = vec![false; nl.net_count()];
-        for &net in &circuit.observed_output_nets() {
-            in_cone[net.index()] = true;
-        }
-        for (_, signal) in circuit.probes() {
-            in_cone[signal.positive.index()] = true;
-            in_cone[signal.negative.index()] = true;
-        }
-        for &cid in order.iter().rev() {
-            let cell = nl.cell(cid);
-            if in_cone[cell.output().index()] {
-                for &input in cell.inputs() {
-                    in_cone[input.index()] = true;
-                }
-            }
-        }
-
-        // Rise gap g₂: the previous (spacer) wave must have drained
-        // from a cell's output before the next (valid) wave can reach
-        // any of its inputs — over every cell for the strict gap, over
-        // the datapath cone for the deep gap.
-        let mut rise_gap = 0.0f64;
-        let mut rise_gap_deep = 0.0f64;
-        for (_, cell) in nl.cells() {
-            if cell.inputs().is_empty() || cell.kind() == CellKind::Dff {
-                continue;
-            }
-            let latest_out = latest[cell.output().index()];
-            let earliest_in = cell
-                .inputs()
-                .iter()
-                .map(|&n| earliest[n.index()])
-                .fold(f64::INFINITY, f64::min);
-            if earliest_in.is_finite() {
-                rise_gap = rise_gap.max(latest_out - earliest_in);
-                if in_cone[cell.output().index()] {
-                    rise_gap_deep = rise_gap_deep.max(latest_out - earliest_in);
-                }
-            }
-        }
-
-        // Spacer gap g₁: the smallest valid→spacer offset such that
-        // the return-to-zero wave first touches every cell only after
-        // the cell's rise response has fully settled.  Falls propagate
-        // along the fastest sensitised path (min over inputs) except
-        // through C-elements, which fall only once their *last* input
-        // has fallen; no net can fall before it first rose.
-        let feasible = |gap: f64, deep_only: bool| -> bool {
-            let mut fall = vec![f64::INFINITY; nl.net_count()];
-            for net in nl.primary_inputs() {
-                fall[net.index()] = gap;
-            }
-            for &cid in &order {
-                let cell = nl.cell(cid);
-                let inputs = cell.inputs();
-                if inputs.is_empty() || cell.kind() == CellKind::Dff {
-                    continue;
-                }
-                let out = cell.output();
-                let delay = library.cell_delay(cell.kind(), nl.net(out).fanout().max(1));
-                let combine = match cell.kind() {
-                    CellKind::CElement2 | CellKind::CElement3 => inputs
-                        .iter()
-                        .map(|&n| fall[n.index()])
-                        .fold(f64::NEG_INFINITY, f64::max),
-                    _ => inputs
-                        .iter()
-                        .map(|&n| fall[n.index()])
-                        .fold(f64::INFINITY, f64::min),
-                };
-                let bound = (combine + delay).max(earliest[out.index()]);
-                let slot = &mut fall[out.index()];
-                *slot = slot.min(bound);
-            }
-            nl.cells().all(|(_, cell)| {
-                if cell.inputs().is_empty() || cell.kind() == CellKind::Dff {
-                    return true;
-                }
-                if deep_only && !in_cone[cell.output().index()] {
-                    return true;
-                }
-                let need = latest[cell.output().index()];
-                let first_fall = cell
-                    .inputs()
-                    .iter()
-                    .map(|&n| fall[n.index()])
-                    .fold(f64::INFINITY, f64::min);
-                first_fall + 1e-9 >= need
-            })
-        };
-        let bisect = |deep_only: bool| -> f64 {
-            if feasible(0.0, deep_only) {
-                return 0.0;
-            }
-            // The settle bound is always feasible; bisect down from it.
-            let (mut lo, mut hi) = (0.0f64, analysis.max_internal_ps());
-            for _ in 0..60 {
-                let mid = f64::midpoint(lo, hi);
-                if feasible(mid, deep_only) {
-                    hi = mid;
-                } else {
-                    lo = mid;
-                }
-            }
-            hi
-        };
-        let fall_gap = bisect(false);
-        let fall_gap_deep = bisect(true);
-
-        let stage_nets = nl
-            .cells()
-            .filter(|(_, c)| {
-                !c.inputs().is_empty() && c.inputs().iter().all(|&n| nl.is_primary_input(n))
-            })
-            .map(|(_, c)| c.output())
-            .collect();
-
-        Ok(Self {
-            max_internal_ps: analysis.max_internal_ps(),
-            rise_gap_raw_ps: rise_gap.max(0.0),
-            fall_gap_raw_ps: fall_gap,
-            rise_gap_deep_raw_ps: rise_gap_deep.max(0.0),
-            fall_gap_deep_raw_ps: fall_gap_deep,
-            earliest_ps: earliest,
-            latest_ps: latest,
-            stage_nets,
-        })
-    }
-
-    /// Upper bound on when a single phase edge stops propagating,
-    /// with the safety margin applied.
-    #[must_use]
-    pub fn settle_bound_ps(&self, margin: f64) -> f64 {
-        self.max_internal_ps * (1.0 + margin)
-    }
-
-    /// The valid→spacer separation `g₁` at `occupancy`, with the
-    /// margin applied: the spacer edge of a token trails its data edge
-    /// by this offset.  [`Occupancy::Max`] constrains the datapath
-    /// cone only; the other depths constrain every cell.
-    #[must_use]
-    pub fn spacer_gap_ps(&self, margin: f64, occupancy: Occupancy) -> f64 {
-        let raw = match occupancy {
-            Occupancy::Max => self.fall_gap_deep_raw_ps,
-            _ => self.fall_gap_raw_ps,
-        };
-        raw * (1.0 + margin)
-    }
-
-    /// The spacer→valid separation `g₂` at `occupancy`, with the
-    /// margin applied: the next token's data edge trails this token's
-    /// spacer edge by at least this offset.
-    #[must_use]
-    pub fn rise_gap_ps(&self, margin: f64, occupancy: Occupancy) -> f64 {
-        let raw = match occupancy {
-            Occupancy::Max => self.rise_gap_deep_raw_ps,
-            _ => self.rise_gap_raw_ps,
-        };
-        raw * (1.0 + margin)
-    }
-
-    /// The minimum injection-to-injection interval `g₁ + g₂` at full
-    /// depth — the pipelined cycle-time bound at [`Occupancy::Max`]
-    /// that the benchmarks report against the serial four-phase cycle.
-    #[must_use]
-    pub fn min_interval_ps(&self, margin: f64) -> f64 {
-        self.spacer_gap_ps(margin, Occupancy::Max) + self.rise_gap_ps(margin, Occupancy::Max)
-    }
-
-    /// The scheduled injection interval at `occupancy`: the depth's
-    /// minimum `g₁ + g₂`, widened as needed so no more than the
-    /// configured number of tokens is in flight at once.
-    #[must_use]
-    pub fn injection_interval_ps(&self, margin: f64, occupancy: Occupancy) -> f64 {
-        let span = self.spacer_gap_ps(margin, occupancy) + self.settle_bound_ps(margin);
-        match occupancy {
-            Occupancy::One => span,
-            Occupancy::Two => {
-                let min =
-                    self.spacer_gap_ps(margin, occupancy) + self.rise_gap_ps(margin, occupancy);
-                min.max(span / 2.0)
-            }
-            Occupancy::Max => self.min_interval_ps(margin),
-        }
-    }
-
-    /// The number of tokens actually in flight under the scheduled
-    /// interval at `occupancy` (a token occupies the circuit from its
-    /// injection until its spacer wave has settled).
-    #[must_use]
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    pub fn occupancy_cap(&self, margin: f64, occupancy: Occupancy) -> usize {
-        let span = self.spacer_gap_ps(margin, occupancy) + self.settle_bound_ps(margin);
-        let interval = self.injection_interval_ps(margin, occupancy);
-        ((span / interval).ceil() as usize).max(1)
-    }
-
-    /// The `[er(n), lf(n)]` first-change window of `net` relative to an
-    /// injection edge — the attribution window for transition decode.
-    #[must_use]
-    pub fn rise_window_ps(&self, net: NetId) -> (f64, f64) {
-        (self.earliest_ps[net.index()], self.latest_ps[net.index()])
-    }
-
-    /// Outputs of the input-stage cells (the dynamic-acknowledge set).
-    #[must_use]
-    pub fn stage_nets(&self) -> &[NetId] {
-        &self.stage_nets
-    }
-}
-
 /// The level a watched net holds while activated — the complement of
 /// its quiescent spacer level.
 fn active_level(quiet: Logic) -> Logic {
@@ -526,10 +161,6 @@ fn active_level(quiet: Logic) -> Logic {
         Logic::Unknown => Logic::Unknown,
     }
 }
-
-/// One attributed activation of a watched net: when it left its spacer
-/// level and (once drained) when it returned.
-type Activation = (f64, Option<f64>);
 
 /// One token's measured wave profile from the serial profiling pass:
 /// per-net first-change times for the data wave (relative to the
@@ -541,6 +172,17 @@ struct TokenProfile {
     /// Spacer-phase settle time (the maximum fall): when the token has
     /// fully drained from the circuit.
     drain_rel_ps: f64,
+}
+
+impl TokenProfile {
+    /// When `net` left its spacer level (relative to the injection
+    /// edge) and when it returned (relative to the spacer edge), or
+    /// `None` if the token never moved it.
+    fn activation(&self, net: NetId) -> Option<(f64, f64)> {
+        let rise = self.rise_rel_ps[net.index()];
+        rise.is_finite()
+            .then(|| (rise, self.fall_rel_ps[net.index()]))
+    }
 }
 
 /// The serial driver's non-monotonic-switching violation, raised by the
@@ -555,10 +197,10 @@ fn non_monotonic(net: NetId, delta: u64) -> DualRailError {
 }
 
 /// Per-slice transition recorder over the watched nets (observed
-/// outputs, probes and `done`): the raw material the post-drain
-/// attribution decodes tokens from.  Nets whose quiescent level is
-/// unknown are unobservable and stay out of the log, mirroring the
-/// serial driver reading their settled `X` directly.
+/// outputs, probes and `done`): the replay's record, matched after the
+/// drain against the schedule-shifted profiles.  Nets whose quiescent
+/// level is unknown are unobservable and stay out of the log, mirroring
+/// the serial driver reading their settled `X` directly.
 struct TransitionLog {
     nets: Vec<(NetId, Logic)>,
     values: Vec<Logic>,
@@ -628,116 +270,22 @@ fn run_slices_until(
     Ok(())
 }
 
-/// Attributes one net's transition stream to injection windows: each
-/// departure from the spacer level must land inside exactly one token's
-/// `[A_k + er, A_k + lf]` window, and the following return-to-zero
-/// belongs to the same token.
-///
-/// Consecutive windows are disjoint by construction (the injection
-/// interval exceeds the per-net spread `lf − er`), so the attribution
-/// is unambiguous; every transition that defies it is a typed
-/// [`DualRailError::ProtocolViolation`].
-fn attribute_stream(
-    net: NetId,
-    quiet: Logic,
-    events: &[(f64, Logic)],
-    inject_at: &[f64],
-    window: (f64, f64),
-) -> Result<Vec<Option<Activation>>, DualRailError> {
-    let m = inject_at.len();
-    let (er, lf) = window;
-    let mut activations: Vec<Option<Activation>> = vec![None; m];
-    let mut cursor = 0usize;
-    let mut pending: Option<usize> = None;
-    for &(t, v) in events {
-        if v == Logic::Unknown {
-            return Err(DualRailError::ProtocolViolation {
-                description: format!(
-                    "net {} went X at {t:.1} ps during a pipelined train",
-                    net.index()
-                ),
-            });
-        }
-        if v == quiet {
-            let Some(k) = pending.take() else {
-                return Err(DualRailError::ProtocolViolation {
-                    description: format!(
-                        "net {} returned to spacer at {t:.1} ps without a preceding departure",
-                        net.index()
-                    ),
-                });
-            };
-            activations[k]
-                .as_mut()
-                .expect("departure recorded for pending token")
-                .1 = Some(t);
-        } else {
-            if pending.is_some() {
-                return Err(DualRailError::ProtocolViolation {
-                    description: format!(
-                        "net {} left spacer twice at {t:.1} ps without returning — a \
-                         wavefront hazard corrupted the handshake",
-                        net.index()
-                    ),
-                });
-            }
-            while cursor < m && t > inject_at[cursor] + lf + WINDOW_EPS_PS {
-                cursor += 1;
-            }
-            if cursor >= m || t + WINDOW_EPS_PS < inject_at[cursor] + er {
-                return Err(DualRailError::ProtocolViolation {
-                    description: format!(
-                        "net {} switched at {t:.1} ps outside every injection window — a \
-                         wavefront hazard corrupted the handshake",
-                        net.index()
-                    ),
-                });
-            }
-            if activations[cursor].is_some() {
-                return Err(DualRailError::ProtocolViolation {
-                    description: format!(
-                        "net {} switched twice within one injection window at {t:.1} ps — a \
-                         wavefront hazard corrupted the handshake",
-                        net.index()
-                    ),
-                });
-            }
-            activations[cursor] = Some((t, None));
-            pending = Some(cursor);
-        }
-    }
-    Ok(activations)
-}
-
-/// One token reconstructed from the attributed transition stream.
-struct TokenView {
-    outputs: Vec<bool>,
-    one_of_n: Vec<(String, usize)>,
-    probes: Vec<(String, DualRailValue)>,
-    s_to_v_latency_ps: f64,
-    done_latency_ps: Option<f64>,
-    v_to_s_latency_ps: f64,
-}
-
-/// Reconstructs and decodes one token from its per-net activations,
-/// replicating the serial driver's codeword rules and latency
-/// definitions exactly.
-#[allow(clippy::too_many_lines)]
+/// Decodes one token from its serial profile, replicating the serial
+/// driver's codeword rules and latency definitions exactly; the
+/// pipelined `cycle_time_ps` comes from the schedule.
 fn assemble_token(
     circuit: &DualRailNetlist,
     snapshot: &[Logic],
     observed: &[NetId],
-    done_net: Option<NetId>,
-    inject_ps: f64,
-    spacer_ps: f64,
-    activity: &dyn Fn(NetId) -> Option<Activation>,
-) -> Result<TokenView, DualRailError> {
+    profile: &TokenProfile,
+    cycle_time_ps: f64,
+) -> Result<OperandResult, DualRailError> {
     let level = |net: NetId| -> Logic {
         let quiet = snapshot[net.index()];
         if quiet == Logic::Unknown {
             return Logic::Unknown;
         }
-        if activity(net).is_some() {
+        if profile.activation(net).is_some() {
             active_level(quiet)
         } else {
             quiet
@@ -807,16 +355,14 @@ fn assemble_token(
     let mut s_to_v = 0.0f64;
     let mut v_to_s = 0.0f64;
     for &net in observed {
-        if let Some((rise, fall)) = activity(net) {
-            s_to_v = s_to_v.max(rise - inject_ps);
-            if let Some(fall) = fall {
-                v_to_s = v_to_s.max(fall - spacer_ps);
-            }
+        if let Some((rise, fall)) = profile.activation(net) {
+            s_to_v = s_to_v.max(rise);
+            v_to_s = v_to_s.max(fall);
         }
     }
-    let done_latency_ps = match done_net {
-        Some(done) => match activity(done) {
-            Some((rise, _)) => Some(rise - inject_ps),
+    let done_latency_ps = match circuit.done() {
+        Some(done) => match profile.activation(done) {
+            Some((rise, _)) => Some(rise),
             None => {
                 return Err(DualRailError::ProtocolViolation {
                     description: "done failed to rise after a valid codeword".to_string(),
@@ -826,23 +372,24 @@ fn assemble_token(
         None => None,
     };
 
-    Ok(TokenView {
+    Ok(OperandResult {
         outputs,
         one_of_n,
-        probes,
         s_to_v_latency_ps: s_to_v,
         done_latency_ps,
         v_to_s_latency_ps: v_to_s,
+        cycle_time_ps,
+        probes,
     })
 }
 
-/// Train-level transition-count audit shared by the scalar and sliced
-/// drivers: every observed rail must have switched exactly twice per
-/// token that activated it, across the whole drained train.
+/// Train-level transition-count audit: every observed rail must have
+/// switched exactly twice per token that activated it, across the whole
+/// drained train.
 fn audit_transition_counts(
     circuit: &DualRailNetlist,
     snapshot: &[Logic],
-    tokens: &[&TokenView],
+    tokens: &[OperandResult],
     transitions: impl Fn(NetId) -> u64,
 ) -> Result<(), DualRailError> {
     let n = tokens.len();
@@ -893,48 +440,47 @@ fn audit_transition_counts(
     Ok(())
 }
 
-/// Checks the `done` edge totals over a drained train: exactly one rise
-/// and one fall per token.
-fn audit_done_edges(
-    activations: &[Option<Activation>],
-    tokens: usize,
-) -> Result<(), DualRailError> {
-    let rises = activations.iter().flatten().count();
-    let falls = activations
-        .iter()
-        .flatten()
-        .filter(|(_, fall)| fall.is_some())
-        .count();
-    if rises != tokens || falls != tokens {
-        return Err(DualRailError::ProtocolViolation {
-            description: format!(
-                "done rose {rises} times and fell {falls} times across a train of {tokens} \
-                 tokens — wavefront overlap corrupted the handshake"
-            ),
-        });
-    }
-    Ok(())
-}
-
-/// The full set of nets the transition log must observe: decoded
-/// outputs, probes and — when completion is token-resolved — `done`.
-fn watched_nets(circuit: &DualRailNetlist, include_done: bool) -> Vec<NetId> {
+/// The nets the replay log watches: decoded outputs, probes and
+/// `done`.
+fn watched_nets(circuit: &DualRailNetlist) -> Vec<NetId> {
     let mut watched = circuit.observed_output_nets();
     for (_, signal) in circuit.probes() {
         watched.push(signal.positive);
         watched.push(signal.negative);
     }
-    if include_done {
-        if let Some(done) = circuit.done() {
-            watched.push(done);
-        }
-    }
+    watched.extend(circuit.done());
     watched
 }
 
+/// Outputs of the input-stage cells — cells all of whose inputs are
+/// primary inputs, the C-element latch layer on latched circuits —
+/// whose return to the quiescent state is the dynamic injection
+/// acknowledge.
+fn input_stage_nets(circuit: &DualRailNetlist) -> Vec<NetId> {
+    let nl = circuit.netlist();
+    nl.cells()
+        .filter(|(_, c)| {
+            !c.inputs().is_empty() && c.inputs().iter().all(|&n| nl.is_primary_input(n))
+        })
+        .map(|(_, c)| c.output())
+        .collect()
+}
+
+/// The most tokens in flight at any injection of a train: token `j` is
+/// in flight from its injection until its spacer wave has drained at
+/// `drained_at[j]`.
+fn peak_in_flight(inject_at: &[f64], drained_at: &[f64]) -> usize {
+    inject_at
+        .iter()
+        .enumerate()
+        .map(|(k, &a_k)| drained_at[..=k].iter().filter(|&&d| d > a_k).count())
+        .max()
+        .unwrap_or(0)
+}
+
 /// The wavefront-pipelined four-phase protocol driver: tokens flow
-/// through the datapath separated by the static `g₁`/`g₂` gaps and the
-/// dynamic input-stage acknowledge instead of the global `done`
+/// through the datapath separated by the measured per-token-pair gaps
+/// and the dynamic input-stage acknowledge instead of the global `done`
 /// round-trip.
 ///
 /// See the [module documentation](self) for the schedule and the
@@ -944,52 +490,35 @@ fn watched_nets(circuit: &DualRailNetlist, include_done: bool) -> Vec<NetId> {
 #[derive(Debug)]
 pub struct PipelinedProtocolDriver<'a> {
     inner: ProtocolDriver<'a>,
-    timing: WavefrontTiming,
     config: PipelineConfig,
     snapshot: Arc<[Logic]>,
+    /// Outputs of the input-stage cells (see `input_stage_nets`).
+    stage_nets: Vec<NetId>,
     horizon_ps: Option<f64>,
+    /// Peak tokens in flight of the last completed train.
+    peak_in_flight: usize,
 }
 
 impl<'a> PipelinedProtocolDriver<'a> {
-    /// Creates a pipelined driver, computing the wavefront timing
-    /// bounds from `library`'s delays.
+    /// Creates a pipelined driver over a fresh simulator at `library`'s
+    /// delays.
     ///
     /// # Errors
     ///
-    /// Propagates [`ProtocolDriver::new`] initialisation errors and
-    /// [`WavefrontTiming::compute`] analysis errors.
+    /// Propagates [`ProtocolDriver::new`] initialisation errors.
     pub fn new(
         circuit: &'a DualRailNetlist,
         library: &Library,
         config: PipelineConfig,
     ) -> Result<Self, DualRailError> {
-        let inner = ProtocolDriver::new(circuit, library)?;
-        let snapshot = inner.quiescent_snapshot();
-        let timing = WavefrontTiming::compute(circuit, library, &snapshot)?;
-        Self::from_driver(inner, timing, config)
-    }
-
-    /// Creates a pipelined driver over a shared engine compilation and
-    /// precomputed timing bounds — the replication primitive behind the
-    /// sharded workload runner (workers carry no library, so the bounds
-    /// are computed once and cloned in).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ProtocolDriver::from_program`] initialisation
-    /// errors.
-    pub fn from_program_with_timing(
-        circuit: &'a DualRailNetlist,
-        program: Arc<EngineProgram<'a>>,
-        timing: WavefrontTiming,
-        config: PipelineConfig,
-    ) -> Result<Self, DualRailError> {
-        let inner = ProtocolDriver::from_program(circuit, program)?;
-        Self::from_driver(inner, timing, config)
+        Ok(Self::from_driver(
+            ProtocolDriver::new(circuit, library)?,
+            config,
+        ))
     }
 
     /// Creates a pipelined driver around an existing simulator instance
-    /// and precomputed timing bounds — the worker-side constructor for
+    /// — the worker-side constructor for
     /// [`crate::ParallelProtocolDriver::run_workload_pipelined`], whose
     /// train runner hands each worker a fresh replicated simulator.
     ///
@@ -997,42 +526,45 @@ impl<'a> PipelinedProtocolDriver<'a> {
     ///
     /// Propagates [`ProtocolDriver::from_simulator`] initialisation
     /// errors.
-    pub fn from_simulator_with_timing(
+    pub fn from_simulator(
         circuit: &'a DualRailNetlist,
         sim: Simulator<'a>,
-        timing: WavefrontTiming,
         config: PipelineConfig,
     ) -> Result<Self, DualRailError> {
-        let inner = ProtocolDriver::from_simulator(circuit, sim)?;
-        Self::from_driver(inner, timing, config)
+        Ok(Self::from_driver(
+            ProtocolDriver::from_simulator(circuit, sim)?,
+            config,
+        ))
     }
 
-    fn from_driver(
-        mut inner: ProtocolDriver<'a>,
-        timing: WavefrontTiming,
-        config: PipelineConfig,
-    ) -> Result<Self, DualRailError> {
+    fn from_driver(mut inner: ProtocolDriver<'a>, config: PipelineConfig) -> Self {
         let snapshot = inner.quiescent_snapshot();
         inner.enable_reset_contract(Arc::clone(&snapshot));
-        Ok(Self {
+        let stage_nets = input_stage_nets(inner.circuit());
+        Self {
             inner,
-            timing,
             config,
             snapshot,
+            stage_nets,
             horizon_ps: None,
-        })
-    }
-
-    /// The wavefront timing bounds this driver schedules against.
-    #[must_use]
-    pub fn timing(&self) -> &WavefrontTiming {
-        &self.timing
+            peak_in_flight: 0,
+        }
     }
 
     /// The configuration this driver runs under.
     #[must_use]
     pub fn config(&self) -> &PipelineConfig {
         &self.config
+    }
+
+    /// The most tokens in flight at any injection of the last train
+    /// [`PipelinedProtocolDriver::run_train`] completed, read off its
+    /// measured schedule: token `k` is in flight from its injection
+    /// until its spacer wave has drained.  1 at [`Occupancy::One`]; 0
+    /// before the first train and after an empty or failed one.
+    #[must_use]
+    pub fn peak_in_flight(&self) -> usize {
+        self.peak_in_flight
     }
 
     /// Caps the events processed per token (see
@@ -1046,7 +578,7 @@ impl<'a> PipelinedProtocolDriver<'a> {
     /// slides the absolute horizon to `A_k + horizon_ps` at every
     /// injection, so a faulted token trips the watchdog at the same
     /// per-token bound the serial driver enforces.  The horizon must
-    /// exceed the injection interval plus the settle bound, or
+    /// exceed the injection interval plus a token's settle time, or
     /// fault-free trains will trip it.
     pub fn set_time_horizon_ps(&mut self, horizon_ps: f64) {
         self.horizon_ps = Some(horizon_ps);
@@ -1128,19 +660,22 @@ impl<'a> PipelinedProtocolDriver<'a> {
     ///
     /// The first failing check aborts the train: decode errors
     /// ([`DualRailError::IllegalCodeword`]), protocol violations
-    /// (missing `done` edges, out-of-window or surplus transitions, an
-    /// input stage that never acknowledges), watchdog trips
-    /// ([`DualRailError::SimulationDiverged`]) and reset-contract
-    /// breaks ([`DualRailError::SpacerStateMismatch`]).
+    /// (missing `done` edges, replayed transitions that miss or exceed
+    /// the profiled ones, an input stage that never acknowledges),
+    /// watchdog trips ([`DualRailError::SimulationDiverged`]) and
+    /// reset-contract breaks ([`DualRailError::SpacerStateMismatch`]).
     pub fn run_train(
         &mut self,
         operands: &[Vec<bool>],
     ) -> Result<Vec<OperandResult>, DualRailError> {
+        self.peak_in_flight = 0;
         if self.config.occupancy == Occupancy::One {
-            return operands
+            let results = operands
                 .iter()
                 .map(|operand| self.inner.apply_operand(operand))
-                .collect();
+                .collect::<Result<Vec<_>, _>>()?;
+            self.peak_in_flight = usize::from(!results.is_empty());
+            return Ok(results);
         }
         self.run_train_wavefront(operands)
     }
@@ -1174,9 +709,8 @@ impl<'a> PipelinedProtocolDriver<'a> {
         let circuit = self.inner.circuit();
         let observed = circuit.observed_output_nets();
         let done_net = circuit.done();
-        let watched = watched_nets(circuit, true);
+        let watched = watched_nets(circuit);
         let stage: Vec<(NetId, Logic)> = self
-            .timing
             .stage_nets
             .iter()
             .map(|&n| (n, self.snapshot[n.index()]))
@@ -1261,10 +795,9 @@ impl<'a> PipelinedProtocolDriver<'a> {
             let active = active_level(quiet);
             let mut expected: Vec<(f64, Logic)> = Vec::new();
             for (k, profile) in profiles.iter().enumerate() {
-                let rise = profile.rise_rel_ps[net.index()];
-                if rise.is_finite() {
+                if let Some((rise, fall)) = profile.activation(net) {
                     expected.push((inject_at[k] + rise, active));
-                    expected.push((spacer_at[k] + profile.fall_rel_ps[net.index()], quiet));
+                    expected.push((spacer_at[k] + fall, quiet));
                 }
             }
             let got = &log.events[i];
@@ -1280,7 +813,7 @@ impl<'a> PipelinedProtocolDriver<'a> {
                 });
             }
             for (&(t, v), &(te, ve)) in got.iter().zip(&expected) {
-                if v != ve || (t - te).abs() > WINDOW_EPS_PS {
+                if v != ve || (t - te).abs() > REPLAY_EPS_PS {
                     return Err(DualRailError::ProtocolViolation {
                         description: format!(
                             "net {net} switched to {v:?} at {t:.3} ps but the serial \
@@ -1306,58 +839,43 @@ impl<'a> PipelinedProtocolDriver<'a> {
 
         // Decode from the verified profiles.  Phase-relative activation
         // times (injection and spacer edges at zero) keep every latency
-        // figure bit-identical to the serial pass.
-        let mut tokens = Vec::with_capacity(profiles.len());
-        for profile in &profiles {
-            let activity = |net: NetId| -> Option<Activation> {
-                let rise = profile.rise_rel_ps[net.index()];
-                rise.is_finite()
-                    .then(|| (rise, Some(profile.fall_rel_ps[net.index()])))
-            };
-            tokens.push(assemble_token(
-                circuit,
-                &self.snapshot,
-                &observed,
-                done_net,
-                0.0,
-                0.0,
-                &activity,
-            )?);
-        }
+        // figure bit-identical to the serial pass.  The pipelined cycle
+        // time is the injection-to-injection interval (the throughput
+        // figure); the last token closes on the train drain.
+        let results = profiles
+            .iter()
+            .enumerate()
+            .map(|(k, profile)| {
+                let next = inject_at.get(k + 1).copied().unwrap_or(drain_end);
+                assemble_token(
+                    circuit,
+                    &self.snapshot,
+                    &observed,
+                    profile,
+                    next - inject_at[k],
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         if self.inner.monotonicity_check() {
-            let refs: Vec<&TokenView> = tokens.iter().collect();
-            audit_transition_counts(circuit, &self.snapshot, &refs, |net| {
+            audit_transition_counts(circuit, &self.snapshot, &results, |net| {
                 self.inner.sim().net_transitions(net)
             })?;
         }
+        let drained_at: Vec<f64> = spacer_at
+            .iter()
+            .zip(&profiles)
+            .map(|(b_k, profile)| b_k + profile.drain_rel_ps)
+            .collect();
+        self.peak_in_flight = peak_in_flight(&inject_at, &drained_at);
 
         // Slice stepping bypasses the per-settle metrics flush; ship
         // the train's engine deltas (and count its completed cycles)
         // before handing results back.
         if let Some(metrics) = self.inner.protocol_metrics() {
-            metrics.cycles.add(tokens.len() as u64);
+            metrics.cycles.add(results.len() as u64);
         }
         self.inner.sim_mut().flush_metrics();
-
-        Ok(tokens
-            .into_iter()
-            .enumerate()
-            .map(|(k, token)| {
-                let next = inject_at.get(k + 1).copied().unwrap_or(drain_end);
-                OperandResult {
-                    outputs: token.outputs,
-                    one_of_n: token.one_of_n,
-                    s_to_v_latency_ps: token.s_to_v_latency_ps,
-                    done_latency_ps: token.done_latency_ps,
-                    v_to_s_latency_ps: token.v_to_s_latency_ps,
-                    // Pipelined cycle time = injection-to-injection
-                    // interval (the throughput figure); the last token
-                    // closes on the train drain.
-                    cycle_time_ps: next - inject_at[k],
-                    probes: token.probes,
-                }
-            })
-            .collect())
+        Ok(results)
     }
 
     /// Serial profiling pass, one token: runs the exact contract-mode
@@ -1545,446 +1063,5 @@ impl<'a> PipelinedProtocolDriver<'a> {
             }
         }
         (inject_at, spacer_at)
-    }
-}
-
-/// 64-lane transition recorder: diffs each watched net's value/unknown
-/// bit-planes per time slice and logs per-lane changes.
-struct SlicedTransitionLog {
-    nets: Vec<(NetId, Logic)>,
-    slots: HashMap<NetId, usize>,
-    planes: Vec<(u64, u64)>,
-    /// `events[slot][lane]`.
-    events: Vec<Vec<Vec<(f64, Logic)>>>,
-}
-
-impl SlicedTransitionLog {
-    fn new(watched: &[NetId], snapshot: &[Logic], sim: &SlicedSimulator<'_>) -> Self {
-        let mut nets = Vec::new();
-        let mut slots = HashMap::new();
-        let mut planes = Vec::new();
-        for &net in watched {
-            let quiet = snapshot[net.index()];
-            if quiet == Logic::Unknown || slots.contains_key(&net) {
-                continue;
-            }
-            slots.insert(net, nets.len());
-            nets.push((net, quiet));
-            planes.push(sim.plane(net));
-        }
-        let events = vec![vec![Vec::new(); LANES]; nets.len()];
-        Self {
-            nets,
-            slots,
-            planes,
-            events,
-        }
-    }
-
-    fn sample(&mut self, sim: &SlicedSimulator<'_>) {
-        let now = sim.now_ps();
-        for (i, &(net, _)) in self.nets.iter().enumerate() {
-            let plane = sim.plane(net);
-            let old = self.planes[i];
-            if plane == old {
-                continue;
-            }
-            let mut diff = (plane.0 ^ old.0) | (plane.1 ^ old.1);
-            while diff != 0 {
-                let lane = diff.trailing_zeros() as usize;
-                diff &= diff - 1;
-                let bit = 1u64 << lane;
-                let value = if plane.1 & bit != 0 {
-                    Logic::Unknown
-                } else if plane.0 & bit != 0 {
-                    Logic::One
-                } else {
-                    Logic::Zero
-                };
-                self.events[i][lane].push((now, value));
-            }
-            self.planes[i] = plane;
-        }
-    }
-}
-
-/// Advances the sliced clock to `time_ps` if it is not already there.
-fn catch_up_sliced(sim: &mut SlicedSimulator<'_>, time_ps: f64) {
-    if time_ps > sim.now_ps() {
-        sim.advance_to(time_ps);
-    }
-}
-
-/// Sliced counterpart of [`run_slices_until`].
-fn run_word_slices_until(
-    sim: &mut SlicedSimulator<'_>,
-    log: &mut SlicedTransitionLog,
-    until_ps: f64,
-    budget: &mut u64,
-) -> Result<(), DualRailError> {
-    while let Some(next) = sim.next_event_time_ps() {
-        if next > until_ps {
-            break;
-        }
-        match sim.step_time_slice(budget) {
-            StepOutcome::Advanced { .. } => log.sample(sim),
-            StepOutcome::Idle => break,
-            StepOutcome::LimitReached => return Err(DualRailError::SimulationDiverged),
-        }
-    }
-    catch_up_sliced(sim, until_ps);
-    Ok(())
-}
-
-/// The wavefront-pipelined driver on the 64-wide bit-sliced event
-/// kernel: each **word** of up to [`LANES`] operands is one token, and
-/// words flow through the datapath under the same static gap schedule
-/// and dynamic input-stage acknowledge as the scalar
-/// [`PipelinedProtocolDriver`] — composing the word-level and
-/// wavefront-level throughput multipliers.
-#[derive(Debug)]
-pub struct SlicedPipelinedProtocolDriver<'a> {
-    inner: SlicedProtocolDriver<'a>,
-    timing: WavefrontTiming,
-    config: PipelineConfig,
-    horizon_ps: Option<f64>,
-}
-
-impl<'a> SlicedPipelinedProtocolDriver<'a> {
-    /// Creates a sliced pipelined driver around a fresh sliced
-    /// simulator instance, a canonical quiescent `snapshot` and
-    /// precomputed `timing` bounds (see
-    /// [`SlicedProtocolDriver::from_sliced_simulator`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates initialisation errors from the underlying word
-    /// driver.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sim` does not simulate this circuit's netlist.
-    pub fn from_sliced_simulator(
-        circuit: &'a DualRailNetlist,
-        sim: SlicedSimulator<'a>,
-        snapshot: Arc<[Logic]>,
-        timing: WavefrontTiming,
-        config: PipelineConfig,
-        check_monotonic: bool,
-    ) -> Result<Self, DualRailError> {
-        let inner =
-            SlicedProtocolDriver::from_sliced_simulator(circuit, sim, snapshot, check_monotonic)?;
-        Ok(Self {
-            inner,
-            timing,
-            config,
-            horizon_ps: None,
-        })
-    }
-
-    /// The wavefront timing bounds this driver schedules against.
-    #[must_use]
-    pub fn timing(&self) -> &WavefrontTiming {
-        &self.timing
-    }
-
-    /// Caps the merged events processed per word token; the budget
-    /// reseeds at every injection.
-    pub fn set_event_limit(&mut self, limit: u64) {
-        self.inner.set_event_limit(limit);
-    }
-
-    /// Attaches the word driver's instrument set (see
-    /// [`SlicedProtocolDriver::attach_metrics`]); the pipelined
-    /// schedule additionally counts injection-gate stall slices under
-    /// `"<prefix>.protocol.stall_slices"`.
-    pub fn attach_metrics(&mut self, registry: &tm_obs::MetricsRegistry, prefix: &str) {
-        self.inner.attach_metrics(registry, prefix);
-    }
-
-    /// Detaches all instruments after flushing pending engine deltas.
-    pub fn detach_metrics(&mut self) {
-        self.inner.detach_metrics();
-    }
-
-    /// Whether an instrument set is currently attached.
-    #[must_use]
-    pub fn metrics_attached(&self) -> bool {
-        self.inner.metrics_attached()
-    }
-
-    /// Attaches only the protocol-level handles (the sharded runner's
-    /// worker path; see [`SlicedProtocolDriver::attach_protocol_metrics`]).
-    pub(crate) fn attach_protocol_metrics(&mut self, handles: tm_obs::ProtocolMetrics) {
-        self.inner.attach_protocol_metrics(handles);
-    }
-
-    /// Bounds each word token by simulated time; the schedule slides
-    /// the absolute horizon to `A_k + horizon_ps` at every injection.
-    pub fn set_time_horizon_ps(&mut self, horizon_ps: f64) {
-        self.horizon_ps = Some(horizon_ps);
-        self.inner.set_time_horizon_ps(horizon_ps);
-    }
-
-    /// Installs a gate-level fault plan on every lane (see
-    /// [`SlicedProtocolDriver::set_fault_plan`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DualRailError::SimulationDiverged`] if the faulted
-    /// circuit cannot settle.
-    pub fn set_fault_plan(&mut self, plan: &gatesim::FaultPlan) -> Result<(), DualRailError> {
-        self.inner.set_fault_plan(plan)
-    }
-
-    /// Runs one train of operands (cut into words of up to [`LANES`]
-    /// lanes at fixed positions) through the wavefront schedule and
-    /// returns the per-operand results in operand order.
-    ///
-    /// At [`Occupancy::One`] each word instead runs the serial
-    /// four-phase word cycle, bit-identical to
-    /// [`SlicedProtocolDriver::apply_word`].
-    ///
-    /// # Errors
-    ///
-    /// The first failing check aborts the train, as in
-    /// [`PipelinedProtocolDriver::run_train`]; divergence is word- and
-    /// train-global (lanes share one event budget).
-    pub fn run_train(
-        &mut self,
-        operands: &[Vec<bool>],
-    ) -> Result<Vec<OperandResult>, DualRailError> {
-        if self.config.occupancy == Occupancy::One {
-            let mut results = Vec::with_capacity(operands.len());
-            for word in operands.chunks(LANES) {
-                for result in self.inner.apply_word(word) {
-                    results.push(result?);
-                }
-            }
-            return Ok(results);
-        }
-        self.run_train_wavefront(operands)
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn run_train_wavefront(
-        &mut self,
-        operands: &[Vec<bool>],
-    ) -> Result<Vec<OperandResult>, DualRailError> {
-        let expected = self.inner.circuit().input_count();
-        for operand in operands {
-            if operand.len() != expected {
-                return Err(DualRailError::OperandWidthMismatch {
-                    expected,
-                    got: operand.len(),
-                });
-            }
-        }
-        if operands.is_empty() {
-            return Ok(Vec::new());
-        }
-        let circuit = self.inner.circuit();
-        let observed = circuit.observed_output_nets();
-        let done_net = circuit.done();
-        let resolve_done = self.config.occupancy == Occupancy::Two;
-        let attributed_done = if resolve_done { done_net } else { None };
-        let watched = watched_nets(circuit, resolve_done);
-        let margin = self.config.separation_margin;
-        let spacer_gap = self.timing.spacer_gap_ps(margin, self.config.occupancy);
-        let interval = self
-            .timing
-            .injection_interval_ps(margin, self.config.occupancy);
-        let snapshot = Arc::clone(self.inner.snapshot());
-        let stage: Vec<(NetId, Logic)> = self
-            .timing
-            .stage_nets
-            .iter()
-            .map(|&n| (n, snapshot[n.index()]))
-            .collect();
-
-        {
-            let sim = self.inner.sim_mut();
-            if sim.has_pending_events() {
-                return Err(DualRailError::SimulationDiverged);
-            }
-            sim.clear_watch_activity();
-            sim.reset_time();
-            sim.reset_lane_events();
-        }
-        let mut log = SlicedTransitionLog::new(&watched, &snapshot, self.inner.sim());
-
-        let words: Vec<&[Vec<bool>]> = operands.chunks(LANES).collect();
-        let m = words.len();
-        let lanes_used = words[0].len();
-        let mut inject_at: Vec<f64> = Vec::with_capacity(m);
-        let mut spacer_at: Vec<f64> = Vec::with_capacity(m);
-        let mut scheduled = 0.0f64;
-        let mut budget = self.inner.sim().event_limit();
-        for word in &words {
-            if let Some(horizon) = self.horizon_ps {
-                self.inner
-                    .sim_mut()
-                    .set_time_horizon_ps(scheduled + horizon);
-            }
-            budget = self.inner.sim().event_limit();
-            catch_up_sliced(self.inner.sim_mut(), scheduled);
-            let a_k = self.inner.sim().now_ps();
-            let run = gatesim::lane_mask(word.len());
-            self.inner.drive_valid_planes(word, run);
-            inject_at.push(a_k);
-            let b_k = a_k + spacer_gap;
-            run_word_slices_until(self.inner.sim_mut(), &mut log, b_k, &mut budget)?;
-            if self.config.gate_injection {
-                self.inner.drive_spacer_planes();
-            }
-            spacer_at.push(b_k);
-            let next = a_k + interval;
-            run_word_slices_until(self.inner.sim_mut(), &mut log, next, &mut budget)?;
-            if self.config.gate_injection {
-                loop {
-                    if stage.iter().all(|&(net, quiet)| {
-                        (0..LANES).all(|lane| self.inner.sim().value(net, lane) == quiet)
-                    }) {
-                        break;
-                    }
-                    let sim = self.inner.sim_mut();
-                    match sim.step_time_slice(&mut budget) {
-                        StepOutcome::Advanced { .. } => {
-                            if let Some(metrics) = self.inner.protocol_metrics() {
-                                metrics.stall_slices.inc();
-                            }
-                            log.sample(self.inner.sim());
-                        }
-                        StepOutcome::Idle => {
-                            return Err(DualRailError::ProtocolViolation {
-                                description: "input stage failed to acknowledge the spacer \
-                                              before the next injection"
-                                    .to_string(),
-                            })
-                        }
-                        StepOutcome::LimitReached => return Err(DualRailError::SimulationDiverged),
-                    }
-                }
-            }
-            scheduled = next.max(self.inner.sim().now_ps());
-        }
-
-        loop {
-            let sim = self.inner.sim_mut();
-            match sim.step_time_slice(&mut budget) {
-                StepOutcome::Advanced { .. } => log.sample(self.inner.sim()),
-                StepOutcome::Idle => break,
-                StepOutcome::LimitReached => return Err(DualRailError::SimulationDiverged),
-            }
-        }
-        let drain_end = self.inner.sim().now_ps();
-
-        // Train-end state audit, lane by lane.
-        for lane in 0..lanes_used {
-            self.inner.check_outputs_at_spacer_lane(lane)?;
-            if let Some(done) = done_net {
-                if !self.inner.sim().value(done, lane).is_zero() {
-                    return Err(DualRailError::ProtocolViolation {
-                        description: "done failed to fall after the spacer phase".to_string(),
-                    });
-                }
-            }
-        }
-        if let Some((lane, net, expected, got)) = self
-            .inner
-            .sim()
-            .lane_state_mismatch(&snapshot, gatesim::lane_mask(LANES))
-        {
-            return Err(DualRailError::SpacerStateMismatch {
-                description: format!(
-                    "net {net} settled to {got:?} after the train drained (lane {lane}) but \
-                     the quiescent snapshot holds {expected:?}"
-                ),
-            });
-        }
-
-        // Per-lane attribution and decode.  A lane is active in every
-        // word except possibly a trailing partial word, so its token
-        // list is a prefix of the word list.
-        let mut lane_tokens: Vec<Vec<TokenView>> = Vec::with_capacity(lanes_used);
-        for lane in 0..lanes_used {
-            let active_words = words.iter().filter(|w| lane < w.len()).count();
-            let mut matrix: Vec<Vec<Option<Activation>>> = Vec::with_capacity(log.nets.len());
-            for (i, &(net, quiet)) in log.nets.iter().enumerate() {
-                matrix.push(attribute_stream(
-                    net,
-                    quiet,
-                    &log.events[i][lane],
-                    &inject_at[..active_words],
-                    self.timing.rise_window_ps(net),
-                )?);
-            }
-            let activity =
-                |net: NetId, k: usize| log.slots.get(&net).and_then(|&slot| matrix[slot][k]);
-            let mut tokens = Vec::with_capacity(active_words);
-            for k in 0..active_words {
-                tokens.push(assemble_token(
-                    circuit,
-                    &snapshot,
-                    &observed,
-                    attributed_done,
-                    inject_at[k],
-                    spacer_at[k],
-                    &|net| activity(net, k),
-                )?);
-            }
-            if let Some(done) = attributed_done {
-                let slot = log.slots.get(&done).copied();
-                let empty = Vec::new();
-                audit_done_edges(slot.map_or(&empty, |s| &matrix[s]), active_words)?;
-            }
-            if self.inner.monotonicity_check() {
-                let refs: Vec<&TokenView> = tokens.iter().collect();
-                audit_transition_counts(circuit, &snapshot, &refs, |net| {
-                    self.inner.sim().watch_transitions(net, lane)
-                })?;
-            }
-            lane_tokens.push(tokens);
-        }
-
-        // Results in operand order: word-major, lane-minor; the cycle
-        // time of a word is shared by all its lanes.
-        let mut results = Vec::with_capacity(operands.len());
-        for (w, word) in words.iter().enumerate() {
-            let next = inject_at.get(w + 1).copied().unwrap_or(drain_end);
-            let cycle_time_ps = next - inject_at[w];
-            for lane in lane_tokens.iter_mut().take(word.len()) {
-                let token = std::mem::replace(
-                    &mut lane[w],
-                    TokenView {
-                        outputs: Vec::new(),
-                        one_of_n: Vec::new(),
-                        probes: Vec::new(),
-                        s_to_v_latency_ps: 0.0,
-                        done_latency_ps: None,
-                        v_to_s_latency_ps: 0.0,
-                    },
-                );
-                results.push(OperandResult {
-                    outputs: token.outputs,
-                    one_of_n: token.one_of_n,
-                    s_to_v_latency_ps: token.s_to_v_latency_ps,
-                    done_latency_ps: token.done_latency_ps,
-                    v_to_s_latency_ps: token.v_to_s_latency_ps,
-                    cycle_time_ps,
-                    probes: token.probes,
-                });
-            }
-        }
-
-        // Slice stepping bypasses the per-settle metrics flush; ship
-        // the train's engine deltas (and count its completed cycles)
-        // before handing results back.
-        if let Some(metrics) = self.inner.protocol_metrics() {
-            metrics.cycles.add(results.len() as u64);
-        }
-        self.inner.sim_mut().flush_metrics();
-
-        Ok(results)
     }
 }

@@ -258,12 +258,6 @@ impl<'a> SlicedProtocolDriver<'a> {
         self.metrics.is_some()
     }
 
-    /// The attached protocol instrument set, if any (the sliced
-    /// pipelined driver records stall slices through it).
-    pub(crate) fn protocol_metrics(&self) -> Option<&tm_obs::ProtocolMetrics> {
-        self.metrics.as_deref()
-    }
-
     /// Attaches **only** the protocol-level handles — the sharded
     /// runner's worker path, where the engine-level instruments are
     /// already attached by the parallel harness at simulator
@@ -312,37 +306,7 @@ impl<'a> SlicedProtocolDriver<'a> {
         Ok(())
     }
 
-    /// The circuit this word driver exercises (for the wavefront
-    /// pipelined driver, which layers a different schedule over the
-    /// same per-lane helpers).
-    pub(crate) fn circuit(&self) -> &'a DualRailNetlist {
-        self.circuit
-    }
-
-    /// Shared read access to the underlying sliced simulator.
-    pub(crate) fn sim(&self) -> &SlicedSimulator<'a> {
-        &self.sim
-    }
-
-    /// Mutable access to the underlying sliced simulator — the
-    /// wavefront-pipelined driver steps it slice by slice instead of
-    /// settling whole phases.
-    pub(crate) fn sim_mut(&mut self) -> &mut SlicedSimulator<'a> {
-        self.at_snapshot = false;
-        &mut self.sim
-    }
-
-    /// The canonical quiescent snapshot every lane verifies against.
-    pub(crate) fn snapshot(&self) -> &Arc<[Logic]> {
-        &self.snapshot
-    }
-
-    /// Whether the per-phase monotonicity check is enabled.
-    pub(crate) fn monotonicity_check(&self) -> bool {
-        self.check_monotonic
-    }
-
-    pub(crate) fn drive_spacer_planes(&mut self) {
+    fn drive_spacer_planes(&mut self) {
         if let Some(req) = self.req {
             self.sim.set_input_planes(req, 0, 0, FULL);
         }
@@ -358,7 +322,7 @@ impl<'a> SlicedProtocolDriver<'a> {
     /// Drives valid codewords on the lanes in `run` (lane `l` carrying
     /// `operands[l]`) while every other lane keeps its spacer encoding,
     /// so inactive and width-mismatched lanes stay quiescent.
-    pub(crate) fn drive_valid_planes(&mut self, operands: &[Vec<bool>], run: u64) {
+    fn drive_valid_planes(&mut self, operands: &[Vec<bool>], run: u64) {
         if let Some(req) = self.req {
             self.sim.set_input_planes(req, run, 0, FULL);
         }
@@ -476,7 +440,7 @@ impl<'a> SlicedProtocolDriver<'a> {
         Ok(())
     }
 
-    pub(crate) fn check_outputs_at_spacer_lane(&self, lane: usize) -> Result<(), DualRailError> {
+    fn check_outputs_at_spacer_lane(&self, lane: usize) -> Result<(), DualRailError> {
         self.check_outputs_at_spacer(|net| self.sim.value(net, lane))
     }
 
@@ -498,7 +462,7 @@ impl<'a> SlicedProtocolDriver<'a> {
     /// Latest change any of `nets` made on `lane` during the current
     /// (rebased, activity-cleared) phase — the sliced counterpart of
     /// the scalar driver's `latest_change_since(nets, 0.0)`.
-    pub(crate) fn latest_watched_change(&self, nets: &[NetId], lane: usize) -> Option<f64> {
+    fn latest_watched_change(&self, nets: &[NetId], lane: usize) -> Option<f64> {
         let bit = 1u64 << lane;
         nets.iter()
             .filter(|&&n| self.sim.watch_moved_mask(n) & bit != 0)
@@ -508,7 +472,7 @@ impl<'a> SlicedProtocolDriver<'a> {
             })
     }
 
-    pub(crate) fn check_monotonic_lane(&self, lane: usize) -> Result<(), DualRailError> {
+    fn check_monotonic_lane(&self, lane: usize) -> Result<(), DualRailError> {
         if !self.check_monotonic {
             return Ok(());
         }
@@ -1212,9 +1176,8 @@ mod tests {
         driver: &mut SlicedProtocolDriver<'_>,
         word: &[Vec<bool>],
     ) -> (Vec<Result<OperandResult, DualRailError>>, bool) {
-        let counters = |d: &SlicedProtocolDriver<'_>| {
-            (d.sim().lane_events(0), d.sim().suppressed_lane_events())
-        };
+        let counters =
+            |d: &SlicedProtocolDriver<'_>| (d.sim.lane_events(0), d.sim.suppressed_lane_events());
         let before = counters(driver);
         let results = driver.apply_word(word);
         (results, counters(driver) != before)
@@ -1383,7 +1346,7 @@ mod tests {
         let lib = Library::umc_ll();
         let mut driver = word_driver(&dr, &lib);
         assert!(driver
-            .sim()
+            .sim
             .program()
             .arrival_program(&driver.snapshot)
             .is_ok());
@@ -1406,7 +1369,7 @@ mod tests {
         let mut bad_driver = word_driver(&bad, &lib);
         assert!(matches!(
             bad_driver
-                .sim()
+                .sim
                 .program()
                 .arrival_program(&bad_driver.snapshot),
             Err(gatesim::ArrivalCompileError::NonMonotone { .. })
@@ -1434,7 +1397,7 @@ mod tests {
         let lib = Library::umc_ll();
         let mut driver = word_driver(&dr, &lib);
         let arrival = driver
-            .sim()
+            .sim
             .program()
             .arrival_program(&driver.snapshot)
             .unwrap();

@@ -264,9 +264,7 @@ impl<'a> DualRailInference<'a> {
     /// # Errors
     ///
     /// See [`DualRailInference::run_workload`], plus the typed wavefront
-    /// hazard violations of [`dualrail::PipelinedProtocolDriver`] and
-    /// the timing-analysis error if the wavefront bounds could not be
-    /// computed.
+    /// hazard violations of [`dualrail::PipelinedProtocolDriver`].
     pub fn run_workload_pipelined(
         &self,
         workload: &InferenceWorkload,
@@ -274,45 +272,6 @@ impl<'a> DualRailInference<'a> {
     ) -> Result<(DualRailRun, PipelineReport), DatapathError> {
         let operands = workload.dual_rail_operands(self.datapath)?;
         let (run, report) = self.driver.run_workload_pipelined(&operands, config)?;
-        let outcomes = run
-            .results
-            .iter()
-            .map(|result| self.datapath.decode_outcome(result))
-            .collect::<Result<Vec<_>, _>>()?;
-        let done_latency = run.done_latency();
-        let run = DualRailRun {
-            outcomes,
-            latency: run.latency,
-            done_latency,
-            results: run.results,
-        };
-        Ok((run, report))
-    }
-
-    /// Like [`DualRailInference::run_workload_pipelined`], but 64
-    /// operand lanes per word on the bit-sliced wavefront driver
-    /// ([`dualrail::SlicedPipelinedProtocolDriver`]), composing the
-    /// word-level and wavefront-level throughput multipliers;
-    /// `config.train_length` counts words per train.  At
-    /// [`dualrail::Occupancy::Max`] the global `done` pulses of a word
-    /// train may merge, so `done_latency` is `None` there.
-    ///
-    /// # Errors
-    ///
-    /// See [`DualRailInference::run_workload_pipelined`].
-    pub fn run_workload_pipelined_sliced(
-        &self,
-        workload: &InferenceWorkload,
-        config: dualrail::PipelineConfig,
-    ) -> Result<(DualRailRun, PipelineReport), DatapathError> {
-        let operands = workload
-            .feature_vectors()
-            .iter()
-            .map(|v| self.datapath.operand_bits(v.as_ref(), workload.masks()))
-            .collect::<Result<Vec<_>, _>>()?;
-        let (run, report) = self
-            .driver
-            .run_workload_pipelined_sliced(&operands, config)?;
         let outcomes = run
             .results
             .iter()

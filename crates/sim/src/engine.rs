@@ -33,7 +33,7 @@ impl RunOutcome {
 }
 
 /// Outcome of one bounded stepping increment
-/// ([`Simulator::step_time_slice`], `SlicedSimulator::step_time_slice`).
+/// ([`Simulator::step_time_slice`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StepOutcome {
     /// One time slice was processed: every pending event sharing the

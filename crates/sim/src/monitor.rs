@@ -401,9 +401,11 @@ pub struct PipelineReport {
     pub makespan_ps: f64,
     /// Tokens covered by the report.
     pub tokens: usize,
-    /// The occupancy cap the run actually used (1 = serial delegation,
-    /// 2 = wavefront overlap — the structural depth of the single-stage
-    /// datapath).
+    /// The peak number of tokens in flight, measured from the run's
+    /// own schedule: the most tokens in flight at any injection, over
+    /// all trains (1 = serial delegation; 0 for an empty run).  A token
+    /// is in flight from its injection until its spacer wave has
+    /// drained.
     pub occupancy: usize,
 }
 

@@ -591,44 +591,6 @@ impl<'a> ParallelEventSim<'a> {
         per_train.into_iter().flatten().collect()
     }
 
-    /// The 64-wide analogue of [`ParallelEventSim::run_trains_with`]:
-    /// items are claimed in trains of `words_per_train` **words** (up to
-    /// `words_per_train * `[`netlist::LANES`] items each), each worker
-    /// owns one private [`SlicedSimulator`], and `step` receives each
-    /// whole train (returning one result per item, in item order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words_per_train` is zero.
-    pub fn run_word_trains_with<T, W, R>(
-        &self,
-        items: &[T],
-        words_per_train: usize,
-        init: impl Fn(SlicedSimulator<'a>) -> W + Sync,
-        step: impl Fn(&mut W, &[T]) -> Vec<R> + Sync,
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-    {
-        assert!(words_per_train > 0, "train length must be at least 1 word");
-        let program = &self.program;
-        let metrics = self.sliced_metrics();
-        let per_train = self.executor.map_chunks_with(
-            items,
-            words_per_train * netlist::LANES,
-            || {
-                let mut sim = SlicedSimulator::from_program(Arc::clone(program));
-                if let Some(handles) = metrics.clone() {
-                    sim.attach_metrics_deferred(handles);
-                }
-                init(sim)
-            },
-            |worker, _, train| step(worker, train),
-        );
-        per_train.into_iter().flatten().collect()
-    }
-
     /// Replays every operand through the 64-wide bit-sliced
     /// return-to-zero cycle ([`crate::run_word_return_to_zero`]),
     /// sharding disjoint **words** of up to 64 operands across worker

@@ -71,7 +71,7 @@ use std::sync::Arc;
 use celllib::Library;
 use netlist::{CellKind, NetId, Netlist, LANES};
 
-use crate::engine::{RunOutcome, StepOutcome};
+use crate::engine::RunOutcome;
 use crate::event::{EventQueue, SimEvent};
 use crate::fault::{FaultOverlay, FaultPlan, SettleError, SettlePhase, NO_STUCK};
 use crate::parallel::OperandRun;
@@ -570,13 +570,6 @@ impl<'a> SlicedSimulator<'a> {
         self.faults = Some(Box::new(overlay));
     }
 
-    /// Raw `(value, unknown)` bit-planes of `net` — one bit per lane.
-    /// Cheap bulk read for observers that diff all 64 lanes at once.
-    #[must_use]
-    pub fn plane(&self, net: NetId) -> (u64, u64) {
-        self.planes[net.index()]
-    }
-
     /// Current value of `net` on `lane`.
     #[must_use]
     pub fn value(&self, net: NetId, lane: usize) -> Logic {
@@ -863,23 +856,6 @@ impl<'a> SlicedSimulator<'a> {
         }
     }
 
-    /// Moves the shared clock forward to `time_ps` without processing
-    /// events, so a later stimulus is timestamped correctly.  Lane
-    /// clocks are untouched: they only record observed transitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time_ps` is earlier than the current shared clock.
-    pub fn advance_to(&mut self, time_ps: f64) {
-        assert!(
-            time_ps >= self.now_ps,
-            "cannot move time backwards ({} < {})",
-            time_ps,
-            self.now_ps
-        );
-        self.now_ps = time_ps;
-    }
-
     // ------------------------------------------------------------------
     // Execution
     // ------------------------------------------------------------------
@@ -925,73 +901,8 @@ impl<'a> SlicedSimulator<'a> {
         }
     }
 
-    /// Processes exactly one **time slice**: every pending event sharing
-    /// the earliest pending timestamp, with due SEU pulses interleaved in
-    /// time order — the bit-sliced counterpart of
-    /// [`crate::Simulator::step_time_slice`], and the observation
-    /// primitive behind the wavefront-pipelined word drivers.
-    ///
-    /// `budget` is a caller-held event allowance spanning a whole wait
-    /// (seed it from [`SlicedSimulator::event_limit`]); the time horizon
-    /// is honoured exactly as in
-    /// [`SlicedSimulator::run_until_quiescent`], pushing the
-    /// over-horizon event back before reporting
-    /// [`StepOutcome::LimitReached`].
-    pub fn step_time_slice(&mut self, budget: &mut u64) -> StepOutcome {
-        if self.faults.is_some() {
-            self.fire_due_pulses();
-        }
-        let Some(first) = self.pop_event() else {
-            return StepOutcome::Idle;
-        };
-        if first.time_ps > self.horizon_ps {
-            self.schedule(
-                first.net as usize,
-                first.v,
-                first.x,
-                first.mask,
-                first.time_ps,
-            );
-            return StepOutcome::LimitReached;
-        }
-        let slice_ps = first.time_ps;
-        let mut event = first;
-        let mut processed = 0u64;
-        loop {
-            if processed >= *budget {
-                // Push the unapplied event back before aborting so the
-                // tail stays visible, mirroring the horizon path.
-                self.schedule(
-                    event.net as usize,
-                    event.v,
-                    event.x,
-                    event.mask,
-                    event.time_ps,
-                );
-                *budget = 0;
-                return StepOutcome::LimitReached;
-            }
-            processed += 1;
-            self.apply_event(event);
-            // A pulse due within the slice interleaves here, exactly as
-            // the monolithic loop fires it before every pop.
-            if self.faults.is_some() {
-                self.fire_due_pulses();
-            }
-            match self.queue.next_time_ps() {
-                Some(next) if next <= slice_ps => {
-                    event = self.pop_event().expect("peeked event vanished");
-                }
-                _ => break,
-            }
-        }
-        *budget -= processed;
-        StepOutcome::Advanced { events: processed }
-    }
-
     /// The configured per-settle event allowance (see
-    /// [`SlicedSimulator::set_event_limit`]); callers stepping with
-    /// [`SlicedSimulator::step_time_slice`] seed their budget from this.
+    /// [`SlicedSimulator::set_event_limit`]).
     #[must_use]
     pub fn event_limit(&self) -> u64 {
         self.event_limit
@@ -1065,9 +976,8 @@ impl<'a> SlicedSimulator<'a> {
     }
 
     /// Flushes counter deltas accumulated since the last flush (no-op
-    /// when nothing is attached).  Sliced protocol drivers stepping
-    /// with [`SlicedSimulator::step_time_slice`] call this at their
-    /// own cycle boundaries.
+    /// when nothing is attached).  Every settle and
+    /// [`SlicedSimulator::detach_metrics`] call this.
     pub fn flush_metrics(&mut self) {
         let (merged, lanes, suppressed) = (
             self.merged_applies,
@@ -1175,15 +1085,6 @@ impl<'a> SlicedSimulator<'a> {
     /// Detaches and returns the waveform probe, if one is attached.
     pub fn take_wave_probe(&mut self) -> Option<tm_obs::WaveProbe> {
         self.wave.take().map(|wave| wave.0)
-    }
-
-    /// Timestamp of the earliest queued event, if any. Wavefront
-    /// controllers peek this between
-    /// [`SlicedSimulator::step_time_slice`] calls to schedule the next
-    /// injection relative to the circuit's next intrinsic transition.
-    #[must_use]
-    pub fn next_event_time_ps(&self) -> Option<f64> {
-        self.queue.next_time_ps()
     }
 
     /// Fires every armed SEU pulse due before the next queued event:
