@@ -44,8 +44,8 @@ use datapath::{
 use dualrail::{DualRailError, ProtocolDriver, SlicedProtocolDriver};
 use exec::Executor;
 use gatesim::{
-    EngineProgram, FaultPlan, Logic, OperandRun, ParallelEventSim, SettleError, Simulator,
-    SlicedSimulator,
+    try_run_return_to_zero, EngineProgram, FaultPlan, Logic, OperandRun, ParallelEventSim,
+    SettleError, Simulator, SlicedSimulator,
 };
 use netlist::{NetId, Netlist};
 
@@ -151,7 +151,7 @@ pub struct AccuracyRow {
 pub struct CampaignMeta {
     /// Bit-sliced lane width of the sliced engines.
     pub lanes: usize,
-    /// Worker threads the sharded event engines used.
+    /// Worker threads the sharded sliced event engine used.
     pub threads: usize,
     /// Event-count watchdog per settle phase.
     pub event_limit: u64,
@@ -493,10 +493,17 @@ impl Fixture<'_> {
         counts
     }
 
+    /// Scalar event engine: one streamed simulator per plan, as the
+    /// scalar dual-rail rows stream one driver.
     fn run_event_scalar(&self, plan: &FaultPlan) -> Classification {
-        let results =
-            self.event_sim
-                .run_operands_faulted(&self.event_operands, plan, Some(HORIZON_PS));
+        let mut sim = Simulator::from_program(Arc::clone(self.event_sim.program()));
+        sim.set_time_horizon_ps(HORIZON_PS);
+        sim.set_fault_plan(plan);
+        let results: Vec<_> = self
+            .event_operands
+            .iter()
+            .map(|operand| try_run_return_to_zero(&mut sim, operand))
+            .collect();
         classify_event_results(&results, &self.golden)
     }
 
@@ -558,10 +565,7 @@ pub fn run(operands: usize, sites: usize, threads: usize, seed: u64) -> FaultCam
         datapath: &datapath,
         dual_program,
         dual_snapshot,
-        event_sim: ParallelEventSim::from_program(
-            Arc::clone(&event_program),
-            Executor::new(threads),
-        ),
+        event_sim: ParallelEventSim::from_program(event_program, Executor::new(threads)),
         event_operands: operand_bit_vectors(&config, workload.masks(), workload.feature_vectors()),
         dual_operands: workload
             .dual_rail_operands(&datapath)

@@ -27,13 +27,9 @@ use crate::workloads::{standard_config, standard_workload};
 /// The engine-metric name prefixes the capture run populates, one per
 /// benchmark engine family (`<prefix>.events_popped` etc. for the
 /// simulator counters, `dualrail.*.protocol.cycles` etc. for the
-/// four-phase handshake counters).
-pub const ENGINE_PREFIXES: [&str; 4] = [
-    "event.scalar",
-    "event.sliced",
-    "dualrail.scalar",
-    "dualrail.sliced",
-];
+/// four-phase handshake counters).  `dualrail.scalar` counts the
+/// pipelined run's scalar train workers.
+pub const ENGINE_PREFIXES: [&str; 3] = ["event.sliced", "dualrail.scalar", "dualrail.sliced"];
 
 /// The three observability artifacts of one capture run.
 #[derive(Clone, Debug, PartialEq)]
@@ -46,8 +42,8 @@ pub struct ObsArtifacts {
     pub serve_trace_json: String,
 }
 
-/// Runs all four engine families (scalar/sliced event-driven golden
-/// model and scalar/sliced/pipelined dual-rail) over a small verified
+/// Runs every engine family (the sliced event-driven golden model and
+/// the sliced and pipelined dual-rail datapath) over a small verified
 /// workload with every instrument attached to one shared registry,
 /// and returns the registry's snapshot.
 ///
@@ -71,8 +67,6 @@ pub fn engine_metrics_snapshot(operands: usize, seed: u64, threads: usize) -> Me
     let model = BatchGoldenModel::generate(&config).expect("model generation");
     let mut event = EventDrivenInference::new(&model, &library, threads);
     event.set_metrics(&registry, "event");
-    let run = event.run_workload(workload).expect("event-driven run");
-    assert_eq!(run.outcomes.as_slice(), expected, "event outcomes diverged");
     let run = event
         .run_workload_sliced(workload)
         .expect("sliced event-driven run");
@@ -85,12 +79,6 @@ pub fn engine_metrics_snapshot(operands: usize, seed: u64, threads: usize) -> Me
     let datapath = DualRailDatapath::generate(&config).expect("datapath generation");
     let mut dual = DualRailInference::new(&datapath, &library, threads).expect("driver");
     dual.set_metrics(&registry, "dualrail");
-    let run = dual.run_workload(workload).expect("dual-rail run");
-    assert_eq!(
-        run.outcomes.as_slice(),
-        expected,
-        "dual-rail outcomes diverged"
-    );
     let run = dual
         .run_workload_sliced(workload)
         .expect("sliced dual-rail run");

@@ -4,11 +4,11 @@
 //!
 //! Pipelining leaves token latency (spacer→valid) unchanged: the
 //! pipelined driver reports it bit-identically to the serial contract
-//! driver, and [`run`] asserts so.  What drops is the
-//! injection-to-injection **cycle time**, from the serial two-settle
-//! handshake to the measured wavefront separation.  Every figure here
-//! is simulated time; the host time the two-pass pipelined schedule
-//! costs is not part of the result.
+//! cycle it runs at [`Occupancy::One`], and [`run`] asserts so.  What
+//! drops is the injection-to-injection **cycle time**, from the serial
+//! two-settle handshake to the measured wavefront separation.  Every
+//! figure here is simulated time; the host time the two-pass pipelined
+//! schedule costs is not part of the result.
 
 use celllib::Library;
 use datapath::{DualRailDatapath, DualRailInference, InferenceWorkload};
@@ -24,8 +24,8 @@ pub struct PipelineCycleSummary {
     pub operands: usize,
     /// Occupancy cap of the pipelined run (tokens in flight).
     pub occupancy: usize,
-    /// Median four-phase cycle time of the unpipelined serial driver,
-    /// in picoseconds.
+    /// Median four-phase cycle time of the serial contract cycle
+    /// ([`Occupancy::One`]), in picoseconds.
     pub serial_cycle_median_ps: f64,
     /// Median injection-to-injection interval of the pipelined driver,
     /// in picoseconds.
@@ -79,9 +79,9 @@ impl PipelineCycleSummary {
     }
 }
 
-/// Runs `workload` (built on [`standard_config`]) through the serial
-/// and the wavefront-pipelined dual-rail drivers at `occupancy`, and
-/// summarises both cycle times.
+/// Runs `workload` (built on [`standard_config`]) through the
+/// wavefront-pipelined dual-rail driver serially ([`Occupancy::One`])
+/// and at `occupancy`, and summarises both cycle times.
 ///
 /// # Panics
 ///
@@ -95,7 +95,13 @@ pub fn run(workload: &InferenceWorkload, occupancy: Occupancy) -> PipelineCycleS
     let engine = DualRailInference::new(&datapath, &library, exec::available_parallelism())
         .expect("driver construction");
 
-    let serial = engine.run_workload(workload).expect("serial dual-rail run");
+    let config = |occupancy| PipelineConfig {
+        occupancy,
+        ..PipelineConfig::default()
+    };
+    let (serial, _) = engine
+        .run_workload_pipelined(workload, config(Occupancy::One))
+        .expect("serial dual-rail run");
     assert_eq!(
         serial.outcomes.as_slice(),
         workload.expected(),
@@ -105,12 +111,8 @@ pub fn run(workload: &InferenceWorkload, occupancy: Occupancy) -> PipelineCycleS
     cycles.sort_by(f64::total_cmp);
     let serial_median = cycles[cycles.len() / 2];
 
-    let config = PipelineConfig {
-        occupancy,
-        ..PipelineConfig::default()
-    };
     let (pipelined, report) = engine
-        .run_workload_pipelined(workload, config)
+        .run_workload_pipelined(workload, config(occupancy))
         .expect("pipelined dual-rail run");
     assert_eq!(
         pipelined.outcomes.as_slice(),

@@ -22,10 +22,10 @@
 //!   dual-rail netlist through spacer/valid cycles on the event-driven
 //!   simulator, measuring spacer→valid latency, valid→spacer reset time
 //!   and protocol violations;
-//! * [`parallel`] — [`ParallelProtocolDriver`], the same four-phase
-//!   environment with the operand stream sharded across worker threads
-//!   under the verified reset-phase contract, bit-identical to
-//!   streaming at any thread count;
+//! * [`parallel`] — [`ParallelProtocolDriver`], the word and train
+//!   drivers below with the operand stream sharded across worker
+//!   threads under the verified reset-phase contract, bit-identical to
+//!   the streamed [`ProtocolDriver`] at any thread count;
 //! * [`sliced`] — [`SlicedProtocolDriver`], the four-phase environment
 //!   on the bit-sliced event kernel: up to 64 operand lanes per word,
 //!   per-lane results bit-identical to a phase-rebased streamed driver

@@ -1,30 +1,37 @@
 //! The sharded four-phase protocol driver: dual-rail operand streams
-//! replayed on replicated [`ProtocolDriver`]s across worker threads.
+//! replayed on replicated word and train drivers across worker threads.
 //!
 //! The paper's headline numbers (Table I) are *dual-rail* figures —
-//! average and maximum spacer→valid latency over a workload — yet the
-//! single [`ProtocolDriver`] is the slowest runtime in the workspace:
-//! every operand costs two full settles of the event-driven simulator
-//! plus protocol checking.  Operands are independent, though, because
-//! the four-phase protocol itself restores history independence: every
+//! average and maximum spacer→valid latency over a workload — and every
+//! operand costs two full settles of the event-driven simulator plus
+//! protocol checking.  Operands are independent, though, because the
+//! four-phase protocol itself restores history independence: every
 //! cycle ends in the all-spacer quiescent state, where each C-element
 //! (input latches and the completion tree alike) has seen all-zero
 //! inputs and reset.  That is the **reset-phase sharding contract**, and
 //! [`ParallelProtocolDriver`] both relies on it and verifies it on every
-//! cycle ([`ProtocolDriver::verify_spacer_state`]).
+//! cycle against one canonical quiescent snapshot.
 //!
 //! Mechanically this reuses the machinery proven on the combinational
 //! path: the engine compilation is built once and shared
-//! (`Arc<EngineProgram>`), each worker owns a private driver instance
-//! over a replicated simulator, operand ranges are claimed dynamically
-//! and merged in operand order
-//! ([`gatesim::ParallelEventSim::run_with`] under
-//! [`gatesim::ShardingContract::ResetPhase`]).  Because every operand
-//! cycle is rebased to time zero and starts from the verified quiescent
-//! state, the decoded outputs *and* every per-operand measurement
-//! (spacer→valid, valid→spacer and `done` latencies) are bit-identical
-//! to a streamed single contract-mode driver at any thread count —
-//! property-tested at threads {1, 2, 7} in `tests/property_tests.rs`.
+//! (`Arc<EngineProgram>`), each worker owns a private driver instance,
+//! and work units are claimed dynamically and merged in operand order
+//! (under [`gatesim::ShardingContract::ResetPhase`]).  The driver has two
+//! sharding units:
+//!
+//! * the 64-lane **word**
+//!   ([`ParallelProtocolDriver::run_workload_sliced`], one
+//!   [`SlicedProtocolDriver`] per worker), whose per-lane results are
+//!   bit-identical to a streamed phase-rebased contract-mode
+//!   [`ProtocolDriver`] ([`crate::rebased_reference_driver`]);
+//! * the position-based **train**
+//!   ([`ParallelProtocolDriver::run_workload_pipelined`], one
+//!   [`PipelinedProtocolDriver`] per worker), which at
+//!   [`crate::Occupancy::One`] is bit-identical to a streamed
+//!   contract-mode [`ProtocolDriver`].
+//!
+//! Both are property-tested against those streamed references at
+//! threads {1, 2, 7} in `tests/property_tests.rs`.
 //!
 //! # Example
 //!
@@ -43,7 +50,7 @@
 //! let lib = Library::umc_ll();
 //! let driver = ParallelProtocolDriver::new(&dr, &lib, 2)?;
 //! let workload = vec![vec![true, true], vec![true, false]];
-//! let run = driver.run_workload(&workload)?;
+//! let run = driver.run_workload_sliced(&workload)?;
 //! assert_eq!(run.results[0].outputs, vec![true]);
 //! assert_eq!(run.results[1].outputs, vec![false]);
 //! assert_eq!(run.latency.count(), 2);
@@ -98,9 +105,9 @@ impl ParallelProtocolRun {
 }
 
 /// Drives a dual-rail netlist through four-phase cycles with the operand
-/// stream sharded across worker threads — outputs and per-operand
-/// latency/`done` statistics bit-identical to a streamed single
-/// contract-mode [`ProtocolDriver`] at any thread count.
+/// stream sharded across worker threads in words or trains — outputs and
+/// per-operand latency/`done` statistics bit-identical to a streamed
+/// single contract-mode [`ProtocolDriver`] at any thread count.
 ///
 /// See the [module documentation](self) for the contract and an example.
 #[derive(Debug)]
@@ -149,13 +156,11 @@ impl<'a> ParallelProtocolDriver<'a> {
         // Pre-flight on the calling thread: a reference driver settles
         // the initial spacer from X (catching divergence as an error
         // rather than a worker panic), and its settled state becomes the
-        // canonical snapshot every worker starts from or verifies
-        // against.  Scalar workers settle from X again and must reach
-        // it, which their first cycle's verification proves.  Sliced
-        // word workers skip that settle: they load the snapshot onto all
-        // 64 lanes, check it is a fixed point of the circuit, settle the
-        // spacer from it (no event pops) and compare the word with it
-        // (`SlicedProtocolDriver::from_sliced_simulator`).  That a
+        // canonical snapshot every word worker starts from.  Word
+        // workers skip the settle from X: they load the snapshot onto
+        // all 64 lanes, check it is a fixed point of the circuit, settle
+        // the spacer from it (no event pops) and compare the word with
+        // it (`SlicedProtocolDriver::from_sliced_simulator`).  That a
         // settle from X reaches the same state on every lane is pinned
         // by `tests/snapshot_load.rs`.
         let reference = ProtocolDriver::from_program(circuit, Arc::clone(&program))?;
@@ -176,12 +181,13 @@ impl<'a> ParallelProtocolDriver<'a> {
     }
 
     /// Routes every worker's instruments into `registry` under
-    /// `prefix`: engine counters as `"<prefix>.scalar.*"` /
-    /// `"<prefix>.sliced.*"` (see [`ParallelEventSim::set_metrics`])
-    /// and protocol counters as `"<prefix>.scalar.protocol.*"` /
-    /// `"<prefix>.sliced.protocol.*"`.  Workers attach to the **same**
-    /// instruments, and per-operand work is shard-invariant, so
-    /// `registry.snapshot()` is bit-identical at any thread count.
+    /// `prefix`: engine counters as `"<prefix>.scalar.*"` (train
+    /// workers) / `"<prefix>.sliced.*"` (word workers; see
+    /// [`ParallelEventSim::set_metrics`]) and protocol counters as
+    /// `"<prefix>.scalar.protocol.*"` / `"<prefix>.sliced.protocol.*"`.
+    /// Workers attach to the **same** instruments, and per-operand work
+    /// is shard-invariant, so `registry.snapshot()` is bit-identical at
+    /// any thread count.
     pub fn set_metrics(&mut self, registry: &Arc<tm_obs::MetricsRegistry>, prefix: &str) {
         self.sim.set_metrics(registry, prefix);
         self.metrics = Some((Arc::clone(registry), prefix.to_string()));
@@ -228,73 +234,36 @@ impl<'a> ParallelProtocolDriver<'a> {
     }
 
     /// Runs one full four-phase cycle per operand (one `Vec<bool>` with
-    /// one bit per dual-rail input, in declaration order), sharding
-    /// disjoint operand ranges across worker threads, and returns every
-    /// decoded result in operand order together with the spacer→valid
-    /// latency report.
+    /// one bit per dual-rail input, in declaration order) on the
+    /// bit-sliced event kernel: the operand stream is cut into words of
+    /// up to 64 operands, each word runs all its lanes through one
+    /// four-phase cycle on a [`SlicedProtocolDriver`], and words are
+    /// sharded across worker threads.  Returns every decoded result in
+    /// operand order together with the spacer→valid latency report.  A
+    /// word of few live lanes (a one-request serving batch, a
+    /// workload's tail) runs on the arrival kernel instead, with the
+    /// same results (see [`SlicedProtocolDriver::apply_word`]).
     ///
     /// Takes `&self`: all mutable state is per worker, so one driver can
-    /// serve many workloads (and several concurrently).
+    /// serve many workloads (and several concurrently).  Word
+    /// boundaries are fixed by operand position, so results are
+    /// bit-identical at any thread count.  The timebase is the
+    /// **phase-rebased** frame ([`ProtocolDriver::enable_phase_rebase`]):
+    /// every per-lane result equals a streamed
+    /// [`crate::rebased_reference_driver`]'s exactly; against a plain
+    /// contract-mode driver, decoded outputs, `s_to_v_latency_ps` and
+    /// `done_latency_ps` are exact while `v_to_s_latency_ps` and
+    /// `cycle_time_ps` agree up to floating-point association.
     ///
     /// # Errors
     ///
     /// Propagates the first per-operand error in operand order — the
     /// same protocol violations, width mismatches and divergence errors
     /// as [`ProtocolDriver::apply_operand`], plus
-    /// [`DualRailError::SpacerStateMismatch`] if a cycle breaks the
-    /// reset-phase contract.
-    pub fn run_workload(
-        &self,
-        operands: &[Vec<bool>],
-    ) -> Result<ParallelProtocolRun, DualRailError> {
-        let circuit = self.circuit;
-        let snapshot = &self.snapshot;
-        let check_monotonic = self.check_monotonic;
-        let metrics = self.protocol_metrics("scalar");
-        let results = self.sim.run_with(
-            operands,
-            |sim: Simulator<'a>| -> Result<ProtocolDriver<'a>, DualRailError> {
-                let mut driver = ProtocolDriver::from_simulator(circuit, sim)?;
-                driver.set_monotonicity_check(check_monotonic);
-                driver.enable_reset_contract(Arc::clone(snapshot));
-                if let Some(handles) = metrics.clone() {
-                    driver.attach_protocol_metrics(handles);
-                }
-                Ok(driver)
-            },
-            |driver, operand: &Vec<bool>| match driver {
-                Ok(driver) => driver.apply_operand(operand),
-                Err(error) => Err(error.clone()),
-            },
-        );
-        let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-        Ok(ParallelProtocolRun::from_results(results))
-    }
-
-    /// Like [`ParallelProtocolDriver::run_workload`], but on the
-    /// bit-sliced event kernel: the operand stream is cut into words of
-    /// up to 64 operands, each word runs all its lanes through one
-    /// four-phase cycle on a [`SlicedProtocolDriver`], and words are
-    /// sharded across worker threads.  A word of few live lanes (a
-    /// one-request serving batch, a workload's tail) runs on the
-    /// arrival kernel instead, with the same results (see
-    /// [`SlicedProtocolDriver::apply_word`]).
-    ///
-    /// Word boundaries are fixed by operand position, so results are
-    /// bit-identical at any thread count.  The timebase is the
-    /// **phase-rebased** frame ([`ProtocolDriver::enable_phase_rebase`]):
-    /// decoded outputs, `s_to_v_latency_ps` and `done_latency_ps` match
-    /// [`ParallelProtocolDriver::run_workload`] exactly, while
-    /// `v_to_s_latency_ps` and `cycle_time_ps` agree up to
-    /// floating-point association.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-operand error in operand order, as
-    /// [`ParallelProtocolDriver::run_workload`] does; a diverging word
-    /// reports every one of its lanes as
-    /// [`DualRailError::SimulationDiverged`] (the lanes share one event
-    /// budget).
+    /// [`DualRailError::SpacerStateMismatch`] if a word breaks the
+    /// reset-phase contract; a diverging word reports every one of its
+    /// lanes as [`DualRailError::SimulationDiverged`] (the lanes share
+    /// one event budget).
     pub fn run_workload_sliced(
         &self,
         operands: &[Vec<bool>],
@@ -326,7 +295,7 @@ impl<'a> ParallelProtocolDriver<'a> {
         Ok(ParallelProtocolRun::from_results(results))
     }
 
-    /// Like [`ParallelProtocolDriver::run_workload`], but each worker
+    /// Shards the operand stream in trains instead of words: each worker
     /// drives its claimed operands through the wavefront-pipelined
     /// schedule ([`PipelinedProtocolDriver::run_train`]): trains of
     /// `config.train_length` tokens at fixed operand positions, with
@@ -338,8 +307,8 @@ impl<'a> ParallelProtocolDriver<'a> {
     /// rebases per train), so position-based chunking keeps decoded
     /// outputs and per-token measurements bit-identical at any thread
     /// count.  At [`crate::Occupancy::One`] every token runs the
-    /// serial contract cycle and the run is bit-identical to
-    /// [`ParallelProtocolDriver::run_workload`].
+    /// serial contract cycle and the run is bit-identical to streaming
+    /// the operands through one contract-mode [`ProtocolDriver`].
     ///
     /// Returns the per-operand results plus a [`PipelineReport`]
     /// separating token latency (spacer→valid, unchanged by
@@ -435,81 +404,20 @@ mod tests {
             .collect()
     }
 
-    /// Streamed single-driver reference in contract mode: the exact
-    /// per-operand code path the workers run, on one instance.
-    fn streamed_reference(dr: &DualRailNetlist, operands: &[Vec<bool>]) -> Vec<OperandResult> {
-        let lib = Library::umc_ll();
-        let mut driver = ProtocolDriver::new(dr, &lib).unwrap();
-        let snapshot = driver.quiescent_snapshot();
-        driver.enable_reset_contract(snapshot);
-        operands
-            .iter()
-            .map(|operand| driver.apply_operand(operand).unwrap())
-            .collect()
-    }
-
     #[test]
-    fn sharded_driver_is_bit_identical_to_streamed_contract_driver() {
-        let dr = and_or_circuit();
-        let operands = workload(3, 14);
-        let expected = streamed_reference(&dr, &operands);
-        let lib = Library::umc_ll();
-        for threads in [1, 2, 7] {
-            let driver = ParallelProtocolDriver::new(&dr, &lib, threads).unwrap();
-            assert_eq!(driver.threads(), threads);
-            let run = driver.run_workload(&operands).unwrap();
-            assert_eq!(run.results, expected, "threads = {threads}");
-            assert_eq!(
-                run.latency,
-                LatencyReport::from_latencies(
-                    expected.iter().map(|r| r.s_to_v_latency_ps).collect()
-                )
-            );
-            let done = run.done_latency().expect("completion detection present");
-            assert_eq!(done.count(), operands.len());
-            assert!(done.min_ps() > 0.0);
-        }
-    }
-
-    #[test]
-    fn run_workload_takes_shared_self() {
+    fn run_workload_sliced_takes_shared_self() {
         let dr = and_or_circuit();
         let lib = Library::umc_ll();
         let driver = ParallelProtocolDriver::new(&dr, &lib, 2).unwrap();
+        assert_eq!(driver.threads(), 2);
         let operands = workload(3, 5);
-        let first = driver.run_workload(&operands).unwrap();
-        let second = driver.run_workload(&operands).unwrap();
+        let first = driver.run_workload_sliced(&operands).unwrap();
+        let second = driver.run_workload_sliced(&operands).unwrap();
         assert_eq!(first, second, "a driver is reusable across workloads");
+        let done = first.done_latency().expect("completion detection present");
+        assert_eq!(done.count(), operands.len());
+        assert!(done.min_ps() > 0.0);
         assert!(std::ptr::eq(driver.circuit(), &dr));
         assert_eq!(driver.quiescent_snapshot().len(), dr.netlist().net_count());
-    }
-
-    #[test]
-    fn operand_errors_propagate_in_operand_order() {
-        let dr = and_or_circuit();
-        let lib = Library::umc_ll();
-        let driver = ParallelProtocolDriver::new(&dr, &lib, 2).unwrap();
-        // Operand 3 has the wrong width; the run must fail with exactly
-        // that operand's error even though later operands are fine.
-        let mut operands = workload(3, 6);
-        operands[3] = vec![true];
-        assert!(matches!(
-            driver.run_workload(&operands),
-            Err(DualRailError::OperandWidthMismatch {
-                expected: 3,
-                got: 1
-            })
-        ));
-    }
-
-    #[test]
-    fn empty_workload_yields_empty_run() {
-        let dr = and_or_circuit();
-        let lib = Library::umc_ll();
-        let driver = ParallelProtocolDriver::new(&dr, &lib, 3).unwrap();
-        let run = driver.run_workload(&[]).unwrap();
-        assert!(run.results.is_empty());
-        assert_eq!(run.latency.count(), 0);
-        assert_eq!(run.done_latency(), Some(LatencyReport::default()));
     }
 }

@@ -242,17 +242,37 @@ impl<'a> ProtocolDriver<'a> {
     /// Returns [`DualRailError::SpacerStateMismatch`] naming the first
     /// diverging net.  Does nothing (trivially `Ok`) when no contract is
     /// enabled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the contract snapshot does not have one value per net
+    /// (a snapshot taken from another circuit: a caller bug).
     pub fn verify_spacer_state(&self) -> Result<(), DualRailError> {
         let Some(snapshot) = &self.reset_contract else {
             return Ok(());
         };
-        match self.sim.first_state_mismatch(snapshot) {
+        let current = self.sim.net_values();
+        assert_eq!(
+            snapshot.len(),
+            current.len(),
+            "snapshot covers {} nets but the netlist has {}",
+            snapshot.len(),
+            current.len()
+        );
+        match current
+            .iter()
+            .zip(snapshot.iter())
+            .position(|(c, s)| c != s)
+        {
             None => Ok(()),
-            Some((net, expected, got)) => Err(DualRailError::SpacerStateMismatch {
+            Some(i) => Err(DualRailError::SpacerStateMismatch {
                 description: format!(
-                    "net {net} settled to {got:?} after the return-to-zero phase but the \
-                     quiescent snapshot holds {expected:?}; the post-cycle state depends \
-                     on operand history, so this circuit cannot be sharded"
+                    "net {} settled to {:?} after the return-to-zero phase but the \
+                     quiescent snapshot holds {:?}; the post-cycle state depends \
+                     on operand history, so this circuit cannot be sharded",
+                    NetId::from_index(i),
+                    current[i],
+                    snapshot[i]
                 ),
             }),
         }

@@ -7,17 +7,22 @@
 //! early-propagative [`DualRailDatapath`] (C-element input latches,
 //! reduced completion detection and all), driven by
 //! [`dualrail::ParallelProtocolDriver`] with the operand stream sharded
-//! across worker threads.  The figures it reports are exactly the
-//! paper's Table I quantities — spacer→valid latency and `done`
-//! (completion-detection) latency per operand — and the decoded
-//! [`InferenceOutcome`]s are directly comparable with the software
-//! golden model.
+//! across worker threads in 64-lane words
+//! ([`DualRailInference::run_workload_sliced`]) or in
+//! wavefront-pipelined trains
+//! ([`DualRailInference::run_workload_pipelined`]).  The figures it
+//! reports are exactly the paper's Table I quantities — spacer→valid
+//! latency and `done` (completion-detection) latency per operand — and
+//! the decoded [`InferenceOutcome`]s are directly comparable with the
+//! software golden model.
 //!
 //! Sharding a sequential circuit is sound here because the four-phase
 //! protocol restores one quiescent state per cycle (the reset-phase
 //! contract), which the driver verifies on every cycle; outcomes and
 //! latency reports are bit-identical to a streamed single contract-mode
-//! driver at any thread count (property-tested at threads {1, 2, 7}).
+//! driver at any thread count (property-tested at threads {1, 2, 7}
+//! against [`dualrail::rebased_reference_driver`] for words and a plain
+//! contract-mode [`dualrail::ProtocolDriver`] for trains).
 //!
 //! # Example
 //!
@@ -32,7 +37,7 @@
 //! let sim = DualRailInference::new(&datapath, &library, 2)?;
 //!
 //! let workload = InferenceWorkload::random(&config, 6, 0.6, 11)?;
-//! let run = sim.run_workload(&workload)?;
+//! let run = sim.run_workload_sliced(&workload)?;
 //! assert_eq!(&run.outcomes, workload.expected());
 //! // The paper's Table I figures, per operand.
 //! assert_eq!(run.latency.count(), 6);
@@ -44,7 +49,7 @@
 //! ```
 
 use celllib::Library;
-use dualrail::{OperandResult, ParallelProtocolDriver};
+use dualrail::{OperandResult, ParallelProtocolDriver, ParallelProtocolRun};
 use exec::Executor;
 use gatesim::{LatencyReport, PipelineReport};
 
@@ -74,9 +79,9 @@ pub struct DualRailRun {
 /// worker threads.
 ///
 /// Construction compiles the netlist once and validates initialisation;
-/// [`DualRailInference::run_workload`] takes `&self` (all mutable state
-/// is per worker), so one instance can serve many workloads.  See the
-/// [module documentation](self) for the contract and an example.
+/// [`DualRailInference::run_workload_sliced`] takes `&self` (all mutable
+/// state is per worker), so one instance can serve many workloads.  See
+/// the [module documentation](self) for the contract and an example.
 #[derive(Debug)]
 pub struct DualRailInference<'a> {
     driver: ParallelProtocolDriver<'a>,
@@ -150,11 +155,14 @@ impl<'a> DualRailInference<'a> {
         self.driver.clear_metrics();
     }
 
-    /// Runs every operand of `workload` through a full four-phase cycle
-    /// and returns the decoded outcomes (comparable with
-    /// [`InferenceWorkload::expected`]) plus the per-operand latency
-    /// reports — all in operand order and bit-identical at any thread
-    /// count.
+    /// Runs every operand of `workload` through a full four-phase cycle,
+    /// 64 operand lanes per word on the bit-sliced protocol driver
+    /// ([`dualrail::SlicedProtocolDriver`]), and returns the decoded
+    /// outcomes (comparable with [`InferenceWorkload::expected`]) plus
+    /// the per-operand latency reports — all in operand order and
+    /// bit-identical at any thread count.  The raw `results` report
+    /// valid→spacer and cycle times in the phase-rebased timebase
+    /// ([`dualrail::ProtocolDriver::enable_phase_rebase`]).
     ///
     /// # Errors
     ///
@@ -164,55 +172,6 @@ impl<'a> DualRailInference<'a> {
     /// [`dualrail::DualRailError::SpacerStateMismatch`] (as a
     /// [`DatapathError::DualRail`]) if a cycle breaks the reset-phase
     /// sharding contract.
-    pub fn run_workload(&self, workload: &InferenceWorkload) -> Result<DualRailRun, DatapathError> {
-        self.run_features(workload.masks(), workload.feature_vectors())
-    }
-
-    /// Runs an explicit batch of feature vectors (owned `&[Vec<bool>]`
-    /// or borrowed `&[&[bool]]`, e.g. a serving micro-batch) against
-    /// `masks` — one full four-phase handshake cycle per vector, sharded
-    /// under the reset-phase contract — and returns the decoded outcomes
-    /// and latency reports in input order.
-    ///
-    /// # Errors
-    ///
-    /// See [`DualRailInference::run_workload`].
-    pub fn run_features<V: AsRef<[bool]>>(
-        &self,
-        masks: &tsetlin::ExcludeMasks,
-        feature_vectors: &[V],
-    ) -> Result<DualRailRun, DatapathError> {
-        let operands = feature_vectors
-            .iter()
-            .map(|v| self.datapath.operand_bits(v.as_ref(), masks))
-            .collect::<Result<Vec<_>, _>>()?;
-        let run = self.driver.run_workload(&operands)?;
-        let outcomes = run
-            .results
-            .iter()
-            .map(|result| self.datapath.decode_outcome(result))
-            .collect::<Result<Vec<_>, _>>()?;
-        let done_latency = run.done_latency();
-        Ok(DualRailRun {
-            outcomes,
-            latency: run.latency,
-            done_latency,
-            results: run.results,
-        })
-    }
-
-    /// Like [`DualRailInference::run_workload`], but 64 operand lanes
-    /// per word on the bit-sliced protocol driver
-    /// ([`dualrail::SlicedProtocolDriver`]).  Outcomes, spacer→valid
-    /// and `done` latencies are bit-identical to
-    /// [`DualRailInference::run_workload`]; the raw `results` report
-    /// valid→spacer and cycle times in the phase-rebased timebase
-    /// ([`dualrail::ProtocolDriver::enable_phase_rebase`]), identical
-    /// up to floating-point association.
-    ///
-    /// # Errors
-    ///
-    /// See [`DualRailInference::run_workload`].
     pub fn run_workload_sliced(
         &self,
         workload: &InferenceWorkload,
@@ -220,13 +179,15 @@ impl<'a> DualRailInference<'a> {
         self.run_features_sliced(workload.masks(), workload.feature_vectors())
     }
 
-    /// Like [`DualRailInference::run_features`], but on the bit-sliced
-    /// protocol driver; see
+    /// Runs an explicit batch of feature vectors (owned `&[Vec<bool>]`
+    /// or borrowed `&[&[bool]]`, e.g. a serving micro-batch) against
+    /// `masks` on the bit-sliced protocol driver and returns the decoded
+    /// outcomes and latency reports in input order; see
     /// [`DualRailInference::run_workload_sliced`].
     ///
     /// # Errors
     ///
-    /// See [`DualRailInference::run_workload`].
+    /// See [`DualRailInference::run_workload_sliced`].
     pub fn run_features_sliced<V: AsRef<[bool]>>(
         &self,
         masks: &tsetlin::ExcludeMasks,
@@ -236,7 +197,37 @@ impl<'a> DualRailInference<'a> {
             .iter()
             .map(|v| self.datapath.operand_bits(v.as_ref(), masks))
             .collect::<Result<Vec<_>, _>>()?;
-        let run = self.driver.run_workload_sliced(&operands)?;
+        self.decode(self.driver.run_workload_sliced(&operands)?)
+    }
+
+    /// Runs every operand of `workload` wavefront-pipelined
+    /// ([`dualrail::PipelinedProtocolDriver`]): within each train of
+    /// `config.train_length` operands, operand *k+1* is injected as soon
+    /// as the input stage acknowledges operand *k*'s spacer instead of
+    /// after the global `done` round-trip.  Decoded outcomes and token
+    /// latencies match the serial contract-mode cycle, which is what
+    /// [`dualrail::Occupancy::One`] runs; the returned
+    /// [`PipelineReport`] adds the pipelined figure of merit — the
+    /// injection-to-injection cycle time, well below the two-settle
+    /// serial cycle at occupancy ≥ 2.
+    ///
+    /// # Errors
+    ///
+    /// See [`DualRailInference::run_workload_sliced`], plus the typed
+    /// wavefront hazard violations of
+    /// [`dualrail::PipelinedProtocolDriver`].
+    pub fn run_workload_pipelined(
+        &self,
+        workload: &InferenceWorkload,
+        config: dualrail::PipelineConfig,
+    ) -> Result<(DualRailRun, PipelineReport), DatapathError> {
+        let operands = workload.dual_rail_operands(self.datapath)?;
+        let (run, report) = self.driver.run_workload_pipelined(&operands, config)?;
+        Ok((self.decode(run)?, report))
+    }
+
+    /// Decodes a driver run into golden-comparable outcomes.
+    fn decode(&self, run: ParallelProtocolRun) -> Result<DualRailRun, DatapathError> {
         let outcomes = run
             .results
             .iter()
@@ -250,80 +241,60 @@ impl<'a> DualRailInference<'a> {
             results: run.results,
         })
     }
-
-    /// Like [`DualRailInference::run_workload`], but wavefront-pipelined
-    /// ([`dualrail::PipelinedProtocolDriver`]): within each train of
-    /// `config.train_length` operands, operand *k+1* is injected as soon
-    /// as the input stage acknowledges operand *k*'s spacer instead of
-    /// after the global `done` round-trip.  Decoded outcomes and token
-    /// latencies match the unpipelined run; the returned
-    /// [`PipelineReport`] adds the pipelined figure of merit — the
-    /// injection-to-injection cycle time, well below the two-settle
-    /// serial cycle at occupancy ≥ 2.
-    ///
-    /// # Errors
-    ///
-    /// See [`DualRailInference::run_workload`], plus the typed wavefront
-    /// hazard violations of [`dualrail::PipelinedProtocolDriver`].
-    pub fn run_workload_pipelined(
-        &self,
-        workload: &InferenceWorkload,
-        config: dualrail::PipelineConfig,
-    ) -> Result<(DualRailRun, PipelineReport), DatapathError> {
-        let operands = workload.dual_rail_operands(self.datapath)?;
-        let (run, report) = self.driver.run_workload_pipelined(&operands, config)?;
-        let outcomes = run
-            .results
-            .iter()
-            .map(|result| self.datapath.decode_outcome(result))
-            .collect::<Result<Vec<_>, _>>()?;
-        let done_latency = run.done_latency();
-        let run = DualRailRun {
-            outcomes,
-            latency: run.latency,
-            done_latency,
-            results: run.results,
-        };
-        Ok((run, report))
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::DatapathConfig;
-    use dualrail::ProtocolDriver;
+    use dualrail::{rebased_reference_driver, ProtocolDriver};
+    use gatesim::{EngineProgram, Simulator};
 
+    /// The sliced protocol driver reproduces a streamed phase-rebased
+    /// contract-mode driver on every per-operand figure — decoded
+    /// outputs, probes, spacer→valid, valid→spacer, `done` and cycle
+    /// times — decodes to the golden outcomes, and is invariant across
+    /// thread counts.
     #[test]
-    fn dual_rail_outcomes_match_golden_at_several_thread_counts() {
+    fn sliced_runs_match_golden_and_the_rebased_streamed_driver() {
         let config = DatapathConfig::new(4, 2).unwrap();
         let datapath = DualRailDatapath::generate(&config).unwrap();
         let library = Library::umc_ll();
         let workload = InferenceWorkload::random(&config, 9, 0.6, 5).unwrap();
+        let operands = workload.dual_rail_operands(&datapath).unwrap();
 
-        let reference = DualRailInference::new(&datapath, &library, 1)
+        let program = Arc::new(EngineProgram::new(datapath.circuit().netlist(), &library));
+        let snapshot = ProtocolDriver::from_program(datapath.circuit(), Arc::clone(&program))
             .unwrap()
-            .run_workload(&workload)
-            .unwrap();
-        assert_eq!(reference.outcomes.as_slice(), workload.expected());
-        assert_eq!(reference.latency.count(), workload.len());
-        assert!(reference.latency.min_ps() > 0.0);
-        let done = reference.done_latency.as_ref().expect("done present");
-        // Completion detection can only fire at or after the last
-        // observed output went valid.
-        for (done_ps, s_to_v_ps) in done
-            .latencies_ps()
+            .quiescent_snapshot();
+        let mut streamed = rebased_reference_driver(
+            datapath.circuit(),
+            Simulator::from_program(program),
+            snapshot,
+            true,
+        )
+        .unwrap();
+        let expected: Vec<_> = operands
             .iter()
-            .zip(reference.latency.latencies_ps())
-        {
-            assert!(done_ps >= s_to_v_ps);
-        }
+            .map(|operand| streamed.apply_operand(operand).unwrap())
+            .collect();
 
-        for threads in [2, 7] {
+        for threads in [1, 2, 7] {
             let sim = DualRailInference::new(&datapath, &library, threads).unwrap();
             assert_eq!(sim.threads(), threads);
-            let run = sim.run_workload(&workload).unwrap();
-            assert_eq!(run, reference, "threads = {threads}");
+            let run = sim.run_workload_sliced(&workload).unwrap();
+            assert_eq!(run.outcomes.as_slice(), workload.expected());
+            assert_eq!(run.results, expected, "threads = {threads}");
+            assert_eq!(run.latency.count(), workload.len());
+            assert!(run.latency.min_ps() > 0.0);
+            let done = run.done_latency.as_ref().expect("done present");
+            // Completion detection can only fire at or after the last
+            // observed output went valid.
+            for (done_ps, s_to_v_ps) in done.latencies_ps().iter().zip(run.latency.latencies_ps()) {
+                assert!(done_ps >= s_to_v_ps);
+            }
         }
     }
 
@@ -337,7 +308,7 @@ mod tests {
         let workload = InferenceWorkload::random(&config, 6, 0.5, 23).unwrap();
         let run = DualRailInference::new(&datapath, &library, 2)
             .unwrap()
-            .run_workload(&workload)
+            .run_workload_sliced(&workload)
             .unwrap();
         for (outcome, expected) in run.outcomes.iter().zip(workload.expected()) {
             assert_eq!(outcome.positive_votes, expected.positive_votes);
@@ -349,70 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_matches_streamed_contract_driver() {
-        let config = DatapathConfig::new(3, 2).unwrap();
-        let datapath = DualRailDatapath::generate(&config).unwrap();
-        let library = Library::umc_ll();
-        let workload = InferenceWorkload::random(&config, 7, 0.7, 2).unwrap();
-        let operands = workload.dual_rail_operands(&datapath).unwrap();
-
-        let mut streamed = ProtocolDriver::new(datapath.circuit(), &library).unwrap();
-        let snapshot = streamed.quiescent_snapshot();
-        streamed.enable_reset_contract(snapshot);
-        let expected: Vec<_> = operands
-            .iter()
-            .map(|operand| streamed.apply_operand(operand).unwrap())
-            .collect();
-
-        let run = DualRailInference::new(&datapath, &library, 3)
-            .unwrap()
-            .run_workload(&workload)
-            .unwrap();
-        assert_eq!(run.results, expected);
-    }
-
-    /// The sliced protocol driver reproduces the plain sharded run on
-    /// everything the paper reports — outcomes, spacer→valid and `done`
-    /// latencies bit for bit — while the raw valid→spacer and cycle
-    /// figures agree up to floating-point association (the sliced
-    /// timebase is phase-rebased).  Also pins thread-invariance.
-    #[test]
-    fn sliced_runs_match_plain_runs_on_all_reported_figures() {
-        let config = DatapathConfig::new(4, 2).unwrap();
-        let datapath = DualRailDatapath::generate(&config).unwrap();
-        let library = Library::umc_ll();
-        let workload = InferenceWorkload::random(&config, 9, 0.6, 5).unwrap();
-
-        let plain = DualRailInference::new(&datapath, &library, 1)
-            .unwrap()
-            .run_workload(&workload)
-            .unwrap();
-        let reference = DualRailInference::new(&datapath, &library, 1)
-            .unwrap()
-            .run_workload_sliced(&workload)
-            .unwrap();
-        assert_eq!(reference.outcomes, plain.outcomes);
-        assert_eq!(reference.latency, plain.latency);
-        assert_eq!(reference.done_latency, plain.done_latency);
-        for (s, p) in reference.results.iter().zip(&plain.results) {
-            assert_eq!(s.outputs, p.outputs);
-            assert_eq!(s.probes, p.probes);
-            assert_eq!(s.s_to_v_latency_ps, p.s_to_v_latency_ps);
-            assert_eq!(s.done_latency_ps, p.done_latency_ps);
-            assert!((s.v_to_s_latency_ps - p.v_to_s_latency_ps).abs() < 1e-6);
-            assert!((s.cycle_time_ps - p.cycle_time_ps).abs() < 1e-6);
-        }
-
-        for threads in [2, 7] {
-            let run = DualRailInference::new(&datapath, &library, threads)
-                .unwrap()
-                .run_workload_sliced(&workload)
-                .unwrap();
-            assert_eq!(run, reference, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn mismatched_workloads_are_rejected() {
         let config = DatapathConfig::new(3, 2).unwrap();
         let other = DatapathConfig::new(4, 2).unwrap();
@@ -420,6 +327,6 @@ mod tests {
         let library = Library::umc_ll();
         let sim = DualRailInference::new(&datapath, &library, 2).unwrap();
         let workload = InferenceWorkload::random(&other, 4, 0.5, 1).unwrap();
-        assert!(sim.run_workload(&workload).is_err());
+        assert!(sim.run_workload_sliced(&workload).is_err());
     }
 }

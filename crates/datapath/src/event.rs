@@ -10,13 +10,15 @@
 //! the asynchronous datapath claims: each inference completes exactly as
 //! fast as its operand allows.
 //!
-//! A single event-driven instance is the workspace's slowest path, so
-//! the operand stream is sharded across an [`exec::Executor`]'s workers
-//! by [`gatesim::ParallelEventSim`]: the engine compilation is shared
-//! read-only (`Arc<EngineProgram>`), each worker owns a private
-//! simulator, and results merge in operand order — outcomes and latency
-//! reports are bit-identical to a streamed single instance at any thread
-//! count (property-tested at threads {1, 2, 7}).
+//! Operands run 64 to a word on the bit-sliced event kernel
+//! ([`gatesim::SlicedSimulator`]), and words are sharded across an
+//! [`exec::Executor`]'s workers by [`gatesim::ParallelEventSim`]: the
+//! engine compilation is shared read-only (`Arc<EngineProgram>`), each
+//! worker owns a private sliced simulator, and results merge in operand
+//! order — outcomes and latency reports are bit-identical to streaming
+//! the operands through one scalar [`gatesim::Simulator`] with
+//! [`gatesim::run_return_to_zero`] and [`decode_operand_run`], at any
+//! thread count (property-tested at threads {1, 2, 7}).
 //!
 //! # Example
 //!
@@ -31,7 +33,7 @@
 //! let sim = EventDrivenInference::new(&model, &library, 2);
 //!
 //! let workload = InferenceWorkload::random(&config, 12, 0.7, 42)?;
-//! let run = sim.run_workload(&workload)?;
+//! let run = sim.run_workload_sliced(&workload)?;
 //! assert_eq!(&run.outcomes, workload.expected());
 //! // Per-operand latency in picoseconds — the paper's figure of merit.
 //! assert_eq!(run.latency.count(), 12);
@@ -62,12 +64,12 @@ pub struct EventDrivenRun {
 }
 
 /// Event-driven inference over the combinational golden model with the
-/// operand stream sharded across worker threads.
+/// operand stream sharded in 64-lane words across worker threads.
 ///
-/// Construction compiles the netlist once; `run_workload` takes `&self`
-/// (all mutable state is per worker), so one instance can serve many
-/// workloads.  See the [module documentation](self) for the determinism
-/// contract and an example.
+/// Construction compiles the netlist once; `run_workload_sliced` takes
+/// `&self` (all mutable state is per worker), so one instance can serve
+/// many workloads.  See the [module documentation](self) for the
+/// determinism contract and an example.
 #[derive(Debug)]
 pub struct EventDrivenInference<'a> {
     sim: ParallelEventSim<'a>,
@@ -105,10 +107,9 @@ impl<'a> EventDrivenInference<'a> {
     }
 
     /// Routes every worker's engine instruments into `registry` under
-    /// `prefix` (see [`ParallelEventSim::set_metrics`]): scalar workers
-    /// flush `"<prefix>.scalar.*"`, sliced workers
-    /// `"<prefix>.sliced.*"`, and snapshots are bit-identical at any
-    /// thread count.
+    /// `prefix` (see [`ParallelEventSim::set_metrics`]): word workers
+    /// flush `"<prefix>.sliced.*"`, and snapshots are bit-identical at
+    /// any thread count.
     pub fn set_metrics(
         &mut self,
         registry: &std::sync::Arc<tm_obs::MetricsRegistry>,
@@ -124,68 +125,20 @@ impl<'a> EventDrivenInference<'a> {
     }
 
     /// Runs every operand of `workload` through a return-to-zero
-    /// event-driven cycle and returns the decoded outcomes (comparable
-    /// with [`InferenceWorkload::expected`]) plus the per-operand
-    /// latency report — both in operand order and bit-identical at any
-    /// thread count.
+    /// event-driven cycle on the bit-sliced event kernel
+    /// ([`gatesim::SlicedSimulator`]): operands are packed 64 to a word,
+    /// every merged event advances all lanes of its word at once, and
+    /// words are sharded across workers.  Returns the decoded outcomes
+    /// (comparable with [`InferenceWorkload::expected`]) plus the
+    /// per-operand latency report — both in operand order, bit-identical
+    /// at any thread count and to the streamed scalar engine (the sliced
+    /// kernel reproduces it per lane exactly).
     ///
     /// # Errors
     ///
     /// Returns width mismatches for masks that do not match the model's
     /// configuration and decode failures if a settled operand's
     /// comparator outputs are not one-hot or any output is X.
-    pub fn run_workload(
-        &self,
-        workload: &InferenceWorkload,
-    ) -> Result<EventDrivenRun, DatapathError> {
-        self.run_features(workload.masks(), workload.feature_vectors())
-    }
-
-    /// Runs an explicit batch of feature vectors (owned `&[Vec<bool>]`
-    /// or borrowed `&[&[bool]]`, e.g. a serving micro-batch) against
-    /// `masks` — one return-to-zero event-driven cycle per vector,
-    /// sharded across workers — and returns decoded outcomes plus the
-    /// per-operand latency report, both in input order.
-    ///
-    /// # Errors
-    ///
-    /// See [`EventDrivenInference::run_workload`].
-    pub fn run_features<V: AsRef<[bool]>>(
-        &self,
-        masks: &ExcludeMasks,
-        feature_vectors: &[V],
-    ) -> Result<EventDrivenRun, DatapathError> {
-        check_masks(&self.config, masks)?;
-        for vector in feature_vectors {
-            if vector.as_ref().len() != self.config.features() {
-                return Err(DatapathError::WidthMismatch {
-                    what: "feature vector",
-                    expected: self.config.features(),
-                    got: vector.as_ref().len(),
-                });
-            }
-        }
-        let operands = operand_bit_vectors(&self.config, masks, feature_vectors);
-        let (runs, latency) = self.sim.run_operands_with_report(&operands);
-        let outcomes = runs
-            .iter()
-            .enumerate()
-            .map(|(k, run)| decode_operand_run(run, k))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(EventDrivenRun { outcomes, latency })
-    }
-
-    /// Like [`EventDrivenInference::run_workload`], but on the
-    /// bit-sliced event kernel ([`gatesim::SlicedSimulator`]): operands
-    /// are packed 64 to a word, every merged event advances all lanes
-    /// of its word at once, and words are sharded across workers.
-    /// Outcomes and the latency report are bit-identical to
-    /// [`EventDrivenInference::run_workload`] — the sliced kernel
-    /// reproduces the scalar engine per lane exactly.
-    ///
-    /// # Errors
-    ///
-    /// See [`EventDrivenInference::run_workload`].
     pub fn run_workload_sliced(
         &self,
         workload: &InferenceWorkload,
@@ -193,13 +146,15 @@ impl<'a> EventDrivenInference<'a> {
         self.run_features_sliced(workload.masks(), workload.feature_vectors())
     }
 
-    /// Like [`EventDrivenInference::run_features`], but on the
-    /// bit-sliced event kernel; see
-    /// [`EventDrivenInference::run_workload_sliced`].
+    /// Runs an explicit batch of feature vectors (owned `&[Vec<bool>]`
+    /// or borrowed `&[&[bool]]`, e.g. a serving micro-batch) against
+    /// `masks` on the bit-sliced event kernel and returns decoded
+    /// outcomes plus the per-operand latency report, both in input
+    /// order; see [`EventDrivenInference::run_workload_sliced`].
     ///
     /// # Errors
     ///
-    /// See [`EventDrivenInference::run_workload`].
+    /// See [`EventDrivenInference::run_workload_sliced`].
     pub fn run_features_sliced<V: AsRef<[bool]>>(
         &self,
         masks: &ExcludeMasks,
@@ -216,7 +171,8 @@ impl<'a> EventDrivenInference<'a> {
             }
         }
         let operands = operand_bit_vectors(&self.config, masks, feature_vectors);
-        let (runs, latency) = self.sim.run_operands_sliced_with_report(&operands);
+        let runs = self.sim.run_operands_sliced(&operands);
+        let latency = LatencyReport::from_runs(&runs);
         let outcomes = runs
             .iter()
             .enumerate()
@@ -312,45 +268,50 @@ pub fn decode_operand_run(
 mod tests {
     use super::*;
 
-    #[test]
-    fn event_driven_outcomes_match_golden_at_several_thread_counts() {
-        let config = DatapathConfig::new(5, 4).unwrap();
-        let model = BatchGoldenModel::generate(&config).unwrap();
-        let library = Library::umc_ll();
-        let workload = InferenceWorkload::random(&config, 17, 0.7, 9).unwrap();
-
-        let reference = EventDrivenInference::new(&model, &library, 1)
-            .run_workload(&workload)
-            .unwrap();
-        assert_eq!(reference.outcomes.as_slice(), workload.expected());
-        assert_eq!(reference.latency.count(), workload.len());
-        assert!(reference.latency.max_ps() > 0.0);
-        assert!(reference.latency.min_ps() <= reference.latency.median_ps());
-
-        for threads in [2, 7] {
-            let sim = EventDrivenInference::new(&model, &library, threads);
-            assert_eq!(sim.threads(), threads);
-            let run = sim.run_workload(&workload).unwrap();
-            assert_eq!(run, reference, "threads = {threads}");
+    /// Streams every operand of `workload` through one scalar
+    /// simulator: the reference the sliced engine must reproduce.
+    fn streamed(
+        model: &BatchGoldenModel,
+        library: &Library,
+        workload: &InferenceWorkload,
+    ) -> EventDrivenRun {
+        let operands =
+            operand_bit_vectors(model.config(), workload.masks(), workload.feature_vectors());
+        let mut sim = gatesim::Simulator::new(model.netlist(), library);
+        let runs: Vec<OperandRun> = operands
+            .iter()
+            .map(|operand| gatesim::run_return_to_zero(&mut sim, operand))
+            .collect();
+        let outcomes = runs
+            .iter()
+            .enumerate()
+            .map(|(k, run)| decode_operand_run(run, k).unwrap())
+            .collect();
+        EventDrivenRun {
+            outcomes,
+            latency: LatencyReport::from_runs(&runs),
         }
     }
 
-    /// The sliced kernel reproduces the scalar event engine per lane
-    /// exactly, so the whole run — outcomes and every per-operand
-    /// latency — is bit-identical, at any thread count and across
-    /// partial final words (77 operands = one full word + 13 lanes).
+    /// The sliced kernel reproduces the streamed scalar event engine
+    /// per lane exactly, so the whole run — golden outcomes and every
+    /// per-operand latency — is bit-identical, at any thread count and
+    /// across partial final words (77 operands = one full word + 13
+    /// lanes).
     #[test]
-    fn sliced_runs_are_bit_identical_to_scalar_runs() {
+    fn sliced_runs_match_golden_and_the_streamed_scalar_engine() {
         let config = DatapathConfig::new(5, 4).unwrap();
         let model = BatchGoldenModel::generate(&config).unwrap();
         let library = Library::umc_ll();
         let workload = InferenceWorkload::random(&config, 77, 0.7, 9).unwrap();
 
-        let reference = EventDrivenInference::new(&model, &library, 1)
-            .run_workload(&workload)
-            .unwrap();
+        let reference = streamed(&model, &library, &workload);
+        assert_eq!(reference.outcomes.as_slice(), workload.expected());
+        assert!(reference.latency.max_ps() > 0.0);
+        assert!(reference.latency.min_ps() <= reference.latency.median_ps());
         for threads in [1, 2, 7] {
             let sim = EventDrivenInference::new(&model, &library, threads);
+            assert_eq!(sim.threads(), threads);
             let run = sim.run_workload_sliced(&workload).unwrap();
             assert_eq!(run, reference, "threads = {threads}");
         }
@@ -386,7 +347,7 @@ mod tests {
         let library = Library::umc_ll();
         let workload = InferenceWorkload::random(&config, 32, 0.6, 3).unwrap();
         let run = EventDrivenInference::new(&model, &library, 2)
-            .run_workload(&workload)
+            .run_workload_sliced(&workload)
             .unwrap();
         assert!(
             run.latency.min_ps() < run.latency.max_ps(),
@@ -430,24 +391,6 @@ mod tests {
         let library = Library::umc_ll();
         let sim = EventDrivenInference::new(&model, &library, 2);
         let workload = InferenceWorkload::random(&other, 4, 0.5, 1).unwrap();
-        assert!(sim.run_workload(&workload).is_err());
-    }
-
-    #[test]
-    fn wrong_width_feature_vectors_are_errors_not_panics() {
-        let config = DatapathConfig::new(3, 2).unwrap();
-        let model = BatchGoldenModel::generate(&config).unwrap();
-        let library = Library::umc_ll();
-        let sim = EventDrivenInference::new(&model, &library, 1);
-        let workload = InferenceWorkload::random(&config, 1, 0.5, 1).unwrap();
-        let short = vec![vec![true, false]];
-        let err = sim.run_features(workload.masks(), &short).unwrap_err();
-        assert!(matches!(
-            err,
-            DatapathError::WidthMismatch {
-                what: "feature vector",
-                ..
-            }
-        ));
+        assert!(sim.run_workload_sliced(&workload).is_err());
     }
 }

@@ -10,24 +10,22 @@
 //! |---|---|---|
 //! | [`BatchBackend`] | [`datapath::BatchInference`] | 64-lane bit-parallel, single thread |
 //! | [`ParallelBatchBackend`] | [`datapath::ParallelBatchInference`] | 64-lane passes sharded across workers |
-//! | [`EventDrivenBackend`] | [`datapath::EventDrivenInference`] | per-operand event-driven simulation |
-//! | [`DualRailBackend`] | [`datapath::DualRailInference`] | four-phase dual-rail handshakes |
-//! | [`EventSlicedBackend`] | [`datapath::EventDrivenInference`] (sliced) | 64-lane bit-sliced event simulation |
-//! | [`DualRailSlicedBackend`] | [`datapath::DualRailInference`] (sliced) | 64-lane bit-sliced four-phase handshakes |
+//! | [`EventSlicedBackend`] | [`datapath::EventDrivenInference`] | 64-lane bit-sliced event simulation |
+//! | [`DualRailSlicedBackend`] | [`datapath::DualRailInference`] | 64-lane bit-sliced four-phase handshakes |
 //!
 //! The exclude masks (the trained model) bind at adapter construction:
 //! a server serves one model, and requests carry only features.
 //!
 //! Every adapter serves **bit-identical outcomes to its offline engine**
-//! — the adapters forward to the same `infer_batch`/`run_features`
+//! — the adapters forward to the same `infer_batch`/`run_features*`
 //! entry points the benchmarks call, so "served" vs "offline" can never
 //! diverge except through a serving-layer bug (which the server's
 //! golden verification would catch).
 
 use celllib::Library;
 use datapath::{
-    BatchGoldenModel, BatchInference, DualRailDatapath, DualRailInference, EventDrivenInference,
-    InferenceOutcome, ParallelBatchInference,
+    BatchGoldenModel, BatchInference, DatapathConfig, DualRailDatapath, DualRailInference,
+    EventDrivenInference, InferenceOutcome, ParallelBatchInference,
 };
 use tsetlin::ExcludeMasks;
 
@@ -95,7 +93,7 @@ impl<'a> BatchBackend<'a> {
     ///
     /// Propagates netlist-flattening failures and mask/model mismatches.
     pub fn new(model: &'a BatchGoldenModel, masks: ExcludeMasks) -> Result<Self, ServeError> {
-        check_masks(model, &masks)?;
+        check_masks(model.config(), &masks)?;
         Ok(Self {
             inner: BatchInference::new(model)?,
             masks,
@@ -132,7 +130,7 @@ impl<'a> ParallelBatchBackend<'a> {
         masks: ExcludeMasks,
         threads: usize,
     ) -> Result<Self, ServeError> {
-        check_masks(model, &masks)?;
+        check_masks(model.config(), &masks)?;
         Ok(Self {
             inner: ParallelBatchInference::new(model, threads)?,
             masks,
@@ -150,91 +148,11 @@ impl Backend for ParallelBatchBackend<'_> {
     }
 }
 
-/// Serving adapter over the sharded event-driven golden-model engine
-/// (each request settles through one return-to-zero cycle; the
-/// simulation's per-operand latency is an engine-internal figure — the
-/// *serving* report measures queueing and wall-clock service time).
-#[derive(Debug)]
-pub struct EventDrivenBackend<'a> {
-    inner: EventDrivenInference<'a>,
-    masks: ExcludeMasks,
-}
-
-impl<'a> EventDrivenBackend<'a> {
-    /// Compiles the golden model for event-driven serving with delays
-    /// from `library`, sharded across `threads` workers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates mask/model mismatches.
-    pub fn new(
-        model: &'a BatchGoldenModel,
-        library: &Library,
-        masks: ExcludeMasks,
-        threads: usize,
-    ) -> Result<Self, ServeError> {
-        check_masks(model, &masks)?;
-        Ok(Self {
-            inner: EventDrivenInference::new(model, library, threads),
-            masks,
-        })
-    }
-}
-
-impl Backend for EventDrivenBackend<'_> {
-    fn name(&self) -> &'static str {
-        "event_driven"
-    }
-
-    fn serve(&mut self, features: &[&[bool]]) -> Result<Vec<InferenceOutcome>, ServeError> {
-        Ok(self.inner.run_features(&self.masks, features)?.outcomes)
-    }
-}
-
-/// Serving adapter over the sharded dual-rail four-phase engine — every
-/// request is a complete handshake cycle on the paper's actual datapath.
-#[derive(Debug)]
-pub struct DualRailBackend<'a> {
-    inner: DualRailInference<'a>,
-    masks: ExcludeMasks,
-}
-
-impl<'a> DualRailBackend<'a> {
-    /// Compiles the dual-rail datapath for four-phase serving with
-    /// delays from `library`, sharded across `threads` workers under the
-    /// reset-phase contract.
-    ///
-    /// # Errors
-    ///
-    /// Propagates driver-construction failures (e.g. a circuit that
-    /// fails to settle during initialisation).
-    pub fn new(
-        datapath: &'a DualRailDatapath,
-        library: &Library,
-        masks: ExcludeMasks,
-        threads: usize,
-    ) -> Result<Self, ServeError> {
-        Ok(Self {
-            inner: DualRailInference::new(datapath, library, threads)?,
-            masks,
-        })
-    }
-}
-
-impl Backend for DualRailBackend<'_> {
-    fn name(&self) -> &'static str {
-        "dual_rail"
-    }
-
-    fn serve(&mut self, features: &[&[bool]]) -> Result<Vec<InferenceOutcome>, ServeError> {
-        Ok(self.inner.run_features(&self.masks, features)?.outcomes)
-    }
-}
-
-/// Serving adapter over the bit-sliced event-driven engine: a micro
-/// batch is one 64-lane word, so the whole batch settles through a
-/// single return-to-zero cycle of merged events — outcomes
-/// bit-identical to [`EventDrivenBackend`] at a fraction of the cost.
+/// Serving adapter over the bit-sliced event-driven golden-model
+/// engine: a micro-batch is one 64-lane word, so the whole batch
+/// settles through a single return-to-zero cycle of merged events.
+/// The simulation's per-operand latency is an engine-internal figure —
+/// the *serving* report measures queueing and wall-clock service time.
 #[derive(Debug)]
 pub struct EventSlicedBackend<'a> {
     inner: EventDrivenInference<'a>,
@@ -255,7 +173,7 @@ impl<'a> EventSlicedBackend<'a> {
         masks: ExcludeMasks,
         threads: usize,
     ) -> Result<Self, ServeError> {
-        check_masks(model, &masks)?;
+        check_masks(model.config(), &masks)?;
         Ok(Self {
             inner: EventDrivenInference::new(model, library, threads),
             masks,
@@ -278,7 +196,7 @@ impl Backend for EventSlicedBackend<'_> {
 
 /// Serving adapter over the bit-sliced dual-rail engine: a micro-batch
 /// is one word of four-phase handshake lanes on the paper's actual
-/// datapath — outcomes bit-identical to [`DualRailBackend`].
+/// datapath.
 #[derive(Debug)]
 pub struct DualRailSlicedBackend<'a> {
     inner: DualRailInference<'a>,
@@ -292,14 +210,16 @@ impl<'a> DualRailSlicedBackend<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates driver-construction failures (e.g. a circuit that
-    /// fails to settle during initialisation).
+    /// Propagates mask/datapath mismatches and driver-construction
+    /// failures (e.g. a circuit that fails to settle during
+    /// initialisation).
     pub fn new(
         datapath: &'a DualRailDatapath,
         library: &Library,
         masks: ExcludeMasks,
         threads: usize,
     ) -> Result<Self, ServeError> {
+        check_masks(datapath.config(), &masks)?;
         Ok(Self {
             inner: DualRailInference::new(datapath, library, threads)?,
             masks,
@@ -479,8 +399,7 @@ impl<B: Backend> Backend for FlakyBackend<B> {
 
 /// Rejects masks that do not match the model configuration at adapter
 /// construction, so a misconfigured server fails before accepting load.
-fn check_masks(model: &BatchGoldenModel, masks: &ExcludeMasks) -> Result<(), ServeError> {
-    let config = model.config();
+fn check_masks(config: &DatapathConfig, masks: &ExcludeMasks) -> Result<(), ServeError> {
     if masks.feature_count() != config.features()
         || masks.clauses_per_polarity() != config.clauses_per_polarity()
     {
@@ -519,26 +438,6 @@ mod tests {
         let mut parallel = ParallelBatchBackend::new(&model, workload.masks().clone(), 2).unwrap();
         assert_eq!(parallel.name(), "parallel_batch");
         assert_eq!(&parallel.serve(&features).unwrap(), workload.expected());
-    }
-
-    #[test]
-    fn event_and_dual_rail_adapters_serve_golden_outcomes() {
-        let config = DatapathConfig::new(4, 2).unwrap();
-        let model = BatchGoldenModel::generate(&config).unwrap();
-        let library = Library::umc_ll();
-        let workload = InferenceWorkload::random(&config, 5, 0.6, 9).unwrap();
-        let features: Vec<&[bool]> = workload.samples().map(|s| s.features).collect();
-
-        let mut event =
-            EventDrivenBackend::new(&model, &library, workload.masks().clone(), 2).unwrap();
-        assert_eq!(event.name(), "event_driven");
-        assert_eq!(&event.serve(&features).unwrap(), workload.expected());
-
-        let datapath = DualRailDatapath::generate(&config).unwrap();
-        let mut dual =
-            DualRailBackend::new(&datapath, &library, workload.masks().clone(), 2).unwrap();
-        assert_eq!(dual.name(), "dual_rail");
-        assert_eq!(&dual.serve(&features).unwrap(), workload.expected());
     }
 
     #[test]
@@ -631,14 +530,26 @@ mod tests {
         assert_eq!(plain.fault_stats(), None);
     }
 
+    /// Every adapter, the dual-rail one included, rejects masks of the
+    /// wrong shape before serving a single batch.
     #[test]
     fn mismatched_masks_fail_at_construction() {
-        let config = DatapathConfig::new(5, 4).unwrap();
-        let other = DatapathConfig::new(6, 4).unwrap();
+        let config = DatapathConfig::new(3, 2).unwrap();
+        let other = DatapathConfig::new(4, 2).unwrap();
         let model = BatchGoldenModel::generate(&config).unwrap();
+        let datapath = DualRailDatapath::generate(&config).unwrap();
+        let library = Library::umc_ll();
         let wrong = InferenceWorkload::random(&other, 1, 0.5, 1).unwrap();
         assert!(matches!(
             BatchBackend::new(&model, wrong.masks().clone()),
+            Err(ServeError::InvalidConfig { name: "masks", .. })
+        ));
+        assert!(matches!(
+            EventSlicedBackend::new(&model, &library, wrong.masks().clone(), 1),
+            Err(ServeError::InvalidConfig { name: "masks", .. })
+        ));
+        assert!(matches!(
+            DualRailSlicedBackend::new(&datapath, &library, wrong.masks().clone(), 1),
             Err(ServeError::InvalidConfig { name: "masks", .. })
         ));
     }

@@ -1,16 +1,17 @@
 //! Micro-batching inference serving runtime with admission control and
 //! tail-latency telemetry.
 //!
-//! PRs 1–4 built four inference engines — 64-lane batch, its sharded
-//! parallel variant, the sharded event-driven golden model and the
-//! dual-rail four-phase datapath — but all of them consume *offline
-//! workloads*.  This crate turns them into a **service**: individual
-//! requests arrive on a deterministic virtual clock, a dynamic
-//! micro-batcher coalesces them (flush when 64 lanes fill **or** a
-//! max-wait deadline expires, amortising the batch path without
-//! unbounded queueing delay), admission control bounds the queue
-//! (block or shed, sheds counted), and one long-lived service worker
-//! thread ([`exec::with_service`]) runs the pluggable [`Backend`].
+//! The workspace has four inference engines — 64-lane batch, its
+//! sharded parallel variant, the bit-sliced event-driven golden model
+//! and the bit-sliced dual-rail four-phase datapath — and all of them
+//! consume *offline workloads*.  This crate turns them into a
+//! **service**: individual requests arrive on a deterministic virtual
+//! clock, a dynamic micro-batcher coalesces them (flush when 64 lanes
+//! fill **or** a max-wait deadline expires, amortising the batch path
+//! without unbounded queueing delay), admission control bounds the
+//! queue (block or shed, sheds counted), and one long-lived service
+//! worker thread ([`exec::with_service`]) runs the pluggable
+//! [`Backend`].
 //! Telemetry splits every request's **queueing delay** from its
 //! **service time** and reports p50/p95/p99 as exact order statistics
 //! ([`gatesim::LatencyReport::percentile`]) — the queueing-system
@@ -22,10 +23,9 @@
 //!   loop instead.
 //! * [`MicroBatcher`] + [`AdmissionPolicy`] — the deterministic batcher
 //!   state machine (see `batcher` module docs).
-//! * [`Backend`] — one trait, six adapters ([`BatchBackend`],
-//!   [`ParallelBatchBackend`], [`EventDrivenBackend`],
-//!   [`DualRailBackend`], and the bit-sliced [`EventSlicedBackend`] and
-//!   [`DualRailSlicedBackend`]).
+//! * [`Backend`] — one trait, four adapters ([`BatchBackend`],
+//!   [`ParallelBatchBackend`], and the bit-sliced [`EventSlicedBackend`]
+//!   and [`DualRailSlicedBackend`]).
 //! * [`Server`] — the virtual-clock event loop; see `server` module
 //!   docs for the determinism contract.  **Every served outcome is
 //!   verified against the workload's golden outcome** before a report
@@ -85,8 +85,8 @@ pub mod telemetry;
 pub mod trace;
 
 pub use backend::{
-    Backend, BatchBackend, CircuitBreaker, DualRailBackend, DualRailSlicedBackend,
-    EventDrivenBackend, EventSlicedBackend, FlakyBackend, ParallelBatchBackend,
+    Backend, BatchBackend, CircuitBreaker, DualRailSlicedBackend, EventSlicedBackend, FlakyBackend,
+    ParallelBatchBackend,
 };
 pub use batcher::{AdmissionPolicy, MicroBatcher, PendingRequest};
 pub use error::ServeError;

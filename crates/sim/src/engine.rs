@@ -354,29 +354,6 @@ impl<'a> Simulator<'a> {
         &self.values
     }
 
-    /// Compares the current net values against `snapshot` and returns
-    /// the first mismatch as `(net, snapshot value, current value)`, or
-    /// `None` if the states are identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snapshot` does not have one value per net.
-    #[must_use]
-    pub fn first_state_mismatch(&self, snapshot: &[Logic]) -> Option<(NetId, Logic, Logic)> {
-        assert_eq!(
-            snapshot.len(),
-            self.values.len(),
-            "snapshot covers {} nets but the netlist has {}",
-            snapshot.len(),
-            self.values.len()
-        );
-        self.values
-            .iter()
-            .zip(snapshot)
-            .position(|(current, expected)| current != expected)
-            .map(|i| (NetId::from_index(i), snapshot[i], self.values[i]))
-    }
-
     /// Time of the most recent value change of `net`, or `None` if it has
     /// never changed.
     #[must_use]
@@ -490,7 +467,7 @@ impl<'a> Simulator<'a> {
     /// rebased cycles instead of reporting stale previous-frame times as
     /// future changes.
     ///
-    /// Used by replayed-operand protocols ([`crate::ParallelEventSim`],
+    /// Used by replayed-operand protocols ([`crate::run_return_to_zero`],
     /// the `dualrail` protocol drivers) so every operand's events carry
     /// identical absolute timestamps regardless of how many operands
     /// this instance has already processed — which makes per-operand
@@ -1373,27 +1350,6 @@ mod tests {
         fresh.run_until_quiescent();
         fresh.reset_time();
         assert_eq!(fresh.last_change_ps(y), None);
-    }
-
-    #[test]
-    fn state_snapshot_comparison_reports_first_mismatch() {
-        let mut nl = Netlist::new("t");
-        let a = nl.add_input("a");
-        let y = nl.add_cell("inv", CellKind::Inv, &[a]).unwrap();
-        nl.add_output("y", y);
-        let library = lib();
-        let mut sim = Simulator::new(&nl, &library);
-        sim.set_input_bool(a, false);
-        sim.run_until_quiescent();
-        let snapshot = sim.net_values().to_vec();
-        assert_eq!(sim.first_state_mismatch(&snapshot), None);
-
-        sim.set_input_bool(a, true);
-        sim.run_until_quiescent();
-        let (net, expected, got) = sim.first_state_mismatch(&snapshot).unwrap();
-        assert_eq!(net, a);
-        assert_eq!(expected, Logic::Zero);
-        assert_eq!(got, Logic::One);
     }
 
     #[test]

@@ -24,17 +24,17 @@
 //! ([`EngineProgram`]: CSR fanout/input relations, per-kind three-valued
 //! truth tables, memoised delays) and per-instance mutable state
 //! ([`Simulator`]), so instances replicate cheaply.
-//! [`ParallelEventSim`] exploits that to shard independent operands
-//! across worker threads with bit-identical results and per-operand
-//! latency figures ([`LatencyReport`]) — the paper's figure of merit at
-//! bulk-workload scale.
 //!
 //! [`SlicedSimulator`] evaluates the same programs 64 operand lanes at
 //! a time by encoding each net's three-valued state as two `u64`
 //! bitplanes; [`run_word_return_to_zero`] drives a whole word through
 //! one return-to-zero cycle with per-lane outputs, settle times and
-//! event counts bit-identical to the scalar engine (see the
-//! [`sliced`] module).
+//! event counts bit-identical to streaming the operands through one
+//! scalar [`Simulator`] with [`run_return_to_zero`] (see the
+//! [`sliced`] module).  [`ParallelEventSim`] shards independent words
+//! across worker threads with bit-identical results and per-operand
+//! latency figures ([`LatencyReport`]) — the paper's figure of merit at
+//! bulk-workload scale.
 //!
 //! [`ArrivalProgram`] settles one operand of a monotone (dual-rail)
 //! netlist without an event queue: one topological `(min, max, +)`

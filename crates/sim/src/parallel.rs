@@ -2,23 +2,26 @@
 //! replicated engine instances across worker threads.
 //!
 //! The event-driven simulator is the only path that observes *per-operand
-//! timing* — the paper's figure of merit — but a single instance is the
-//! workspace's slowest strategy by a factor of ~100.  Operands are
-//! independent, though: each one is a complete return-to-zero cycle
-//! (spacer → settle → operand → settle) whose events depend only on the
-//! operand itself, so the LCP-style low-communication partitioning
-//! already proven for the batch spine applies directly — replicate the
-//! pipeline, shard the operands, never share mutable state mid-pass.
+//! timing* — the paper's figure of merit.  Operands are independent,
+//! though: each one is a complete return-to-zero cycle (spacer → settle →
+//! operand → settle) whose events depend only on the operand itself, so
+//! the LCP-style low-communication partitioning already proven for the
+//! batch spine applies directly — replicate the pipeline, shard the
+//! work, never share mutable state mid-pass.
 //!
 //! [`ParallelEventSim`] replicates only what replication must cost: the
 //! immutable compilation ([`crate::EngineProgram`] — CSR relations,
 //! truth tables, delay memos) is built once and shared through an `Arc`,
-//! and each worker owns a private [`Simulator`] instance (net values +
-//! event queue + counters).  Operand ranges are claimed dynamically via
-//! [`exec::Executor::map_chunks_with`] and merged in input order, so the
-//! outputs *and* the per-operand latencies are bit-identical to a single
-//! streamed instance at any thread count (property-tested at threads
-//! {1, 2, 7} in `tests/property_tests.rs`).
+//! and each worker owns a private instance.  The sharding unit is the
+//! 64-lane **word** ([`ParallelEventSim::run_operands_sliced`] on a
+//! [`SlicedSimulator`] per worker), plus the position-based **train**
+//! ([`ParallelEventSim::run_trains_with`] on a [`Simulator`] per worker)
+//! that wavefront-pipelined drivers need.  Units are claimed dynamically
+//! via [`exec::Executor::map_chunks_with`] and merged in input order, so
+//! the outputs *and* the per-operand latencies are bit-identical to a
+//! single streamed [`Simulator`] driven by [`run_return_to_zero`] — the
+//! reference the property tests compare against at threads {1, 2, 7}
+//! (`tests/property_tests.rs`).
 //!
 //! # Determinism contract
 //!
@@ -30,10 +33,10 @@
 //!    so after the first spacer every instance sits in the same state no
 //!    matter which operands it processed before.  (State-holding cells
 //!    break this in general — [`ParallelEventSim::new`] rejects them.)
-//! 2. **Per-operand time rebasing.**  [`Simulator::reset_time`] zeroes
-//!    the clock before each injection, so event timestamps — and the
-//!    floating-point roundings they go through — are identical for a
-//!    given operand regardless of its position in the stream.
+//! 2. **Per-operand time rebasing.**  The clock is zeroed before each
+//!    injection, so event timestamps — and the floating-point roundings
+//!    they go through — are identical for a given operand regardless of
+//!    its position in the stream.
 //!
 //! # The reset-phase contract for sequential netlists
 //!
@@ -44,11 +47,11 @@
 //! post-reset state is one fixed quiescent state — not a function of
 //! operand history.  [`ParallelEventSim::assume_reset_phase`] admits
 //! sequential netlists on the strength of that argument, and **verifies
-//! it per cycle**: each worker snapshots its first settled spacer state
-//! and compares every later one against it, panicking on the first
-//! mismatch instead of silently returning shard-dependent results.
-//! Protocol-level drivers (the `dualrail` crate) perform the same check
-//! against a canonical snapshot shared by all workers.
+//! it per word**: each worker snapshots its first settled spacer state
+//! and compares every later one against it on every live lane, panicking
+//! on the first mismatch instead of silently returning shard-dependent
+//! results.  Protocol-level drivers (the `dualrail` crate) perform the
+//! same check against a canonical snapshot shared by all workers.
 //!
 //! # Example
 //!
@@ -70,7 +73,7 @@
 //!     vec![true, true, false],
 //!     vec![false, true, true],
 //! ];
-//! let runs = sim.run_operands(&operands);
+//! let runs = sim.run_operands_sliced(&operands);
 //! assert!(runs[0].outputs[0].is_one());
 //! assert!(runs[1].outputs[0].is_one());
 //! // The majority gate settles one cell delay after injection.
@@ -109,11 +112,6 @@ pub struct OperandRun {
     pub events: u64,
 }
 
-/// Operands per dynamically-claimed work chunk.  Small enough to load
-/// balance uneven settle times, large enough that the claim `fetch_add`
-/// is noise; the value never affects results (operands are independent).
-const OPERANDS_PER_CHUNK: usize = 4;
-
 /// The history-independence argument a [`ParallelEventSim`] relies on to
 /// replay operands on replicated instances.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,7 +123,7 @@ pub enum ShardingContract {
     /// The caller asserts that every return-to-zero cycle ends in one
     /// fixed quiescent state even though the netlist holds state (e.g. a
     /// four-phase dual-rail circuit whose C-elements all reset on the
-    /// spacer).  The runner verifies the assertion on every cycle by
+    /// spacer).  The runner verifies the assertion on every word by
     /// comparing each settled spacer state against the first one.
     ResetPhase,
 }
@@ -135,10 +133,9 @@ pub enum ShardingContract {
 ///
 /// The cycle is: drive every primary input to 0, settle, rebase the
 /// clock to zero, drive `operand` (one bool per primary input in port
-/// declaration order), settle.  This is the protocol
-/// [`ParallelEventSim`] replays on every worker; it is exposed so
-/// streamed single-instance references (tests, benches) can share the
-/// exact code path.
+/// declaration order), settle.  Streaming operands through one
+/// [`Simulator`] this way is the scalar reference every lane of
+/// [`ParallelEventSim::run_operands_sliced`] reproduces bit for bit.
 ///
 /// # Panics
 ///
@@ -146,7 +143,7 @@ pub enum ShardingContract {
 /// either phase fails to settle within the simulator's event limit.
 #[must_use]
 pub fn run_return_to_zero(sim: &mut Simulator<'_>, operand: &[bool]) -> OperandRun {
-    run_return_to_zero_checked(sim, operand, None)
+    try_run_return_to_zero(sim, operand).unwrap_or_else(|error| panic!("{error}"))
 }
 
 /// Fallible form of [`run_return_to_zero`]: an operand whose spacer or
@@ -168,34 +165,6 @@ pub fn try_run_return_to_zero(
     sim: &mut Simulator<'_>,
     operand: &[bool],
 ) -> Result<OperandRun, SettleError> {
-    try_run_return_to_zero_checked(sim, operand, None)
-}
-
-/// [`run_return_to_zero`] with the reset-phase contract check: after the
-/// spacer settles, the full net state is compared against `*snapshot`
-/// (captured from the first spacer if still `None`).
-///
-/// # Panics
-///
-/// Panics like [`run_return_to_zero`], and additionally if a settled
-/// spacer state diverges from the snapshot — the loud failure mode of
-/// the [`ShardingContract::ResetPhase`] contract.
-fn run_return_to_zero_checked(
-    sim: &mut Simulator<'_>,
-    operand: &[bool],
-    spacer_snapshot: Option<&mut Option<Vec<Logic>>>,
-) -> OperandRun {
-    try_run_return_to_zero_checked(sim, operand, spacer_snapshot)
-        .unwrap_or_else(|error| panic!("{error}"))
-}
-
-/// Fallible core of the operand runner: non-settles and reset-phase
-/// contract violations come back as typed [`SettleError`]s.
-fn try_run_return_to_zero_checked(
-    sim: &mut Simulator<'_>,
-    operand: &[bool],
-    spacer_snapshot: Option<&mut Option<Vec<Logic>>>,
-) -> Result<OperandRun, SettleError> {
     // The input list is cached in the shared program, so the per-operand
     // hot path performs no allocation for it.
     let input_count = sim.program().primary_inputs().len();
@@ -208,11 +177,10 @@ fn try_run_return_to_zero_checked(
     );
 
     // Spacer phase: return every input to zero and settle.  After this
-    // the instance sits in the canonical quiescent state — by function
-    // for combinational netlists, by the verified reset-phase contract
-    // for sequential ones.  Spacer work depends on the *previous*
-    // operand (or on instance construction), so metric counting pauses
-    // until the post-spacer rebase re-arms it.
+    // a combinational netlist sits in its canonical quiescent state.
+    // Spacer work depends on the *previous* operand (or on instance
+    // construction), so metric counting pauses until the post-spacer
+    // rebase re-arms it.
     sim.pause_metrics();
     for i in 0..input_count {
         let net = sim.program().primary_inputs()[i];
@@ -222,23 +190,6 @@ fn try_run_return_to_zero_checked(
         return Err(SettleError::Watchdog {
             phase: SettlePhase::Spacer,
         });
-    }
-    if let Some(snapshot) = spacer_snapshot {
-        match snapshot {
-            None => *snapshot = Some(sim.net_values().to_vec()),
-            Some(expected) => {
-                if let Some((net, expected, got)) = sim.first_state_mismatch(expected) {
-                    return Err(SettleError::ResetContract {
-                        description: format!(
-                            "net {net} settled to {got:?} \
-                             after the spacer but the quiescent snapshot holds {expected:?} \
-                             — the circuit's post-cycle state depends on operand history, \
-                             so sharding it would change results"
-                        ),
-                    });
-                }
-            }
-        }
     }
 
     // Injection phase from time zero: identical absolute timestamps for
@@ -260,9 +211,9 @@ fn try_run_return_to_zero_checked(
     })
 }
 
-/// Event-driven simulation sharded across operands: one shared
-/// [`EngineProgram`], one private [`Simulator`] per worker, results
-/// merged in operand order.
+/// Event-driven simulation sharded across words (and trains): one
+/// shared [`EngineProgram`], one private engine instance per worker,
+/// results merged in operand order.
 ///
 /// See the [module documentation](self) for the determinism contract and
 /// an example.
@@ -333,8 +284,8 @@ impl<'a> ParallelEventSim<'a> {
     /// settled spacer state against the first one it observed and
     /// panics on the first mismatch (see the
     /// [module documentation](self)).  Higher-level protocol drivers
-    /// layer their own per-cycle check on top via
-    /// [`Simulator::first_state_mismatch`].
+    /// layer their own per-cycle check on top against a canonical
+    /// snapshot.
     #[must_use]
     pub fn assume_reset_phase(program: Arc<EngineProgram<'a>>, executor: Executor) -> Self {
         Self {
@@ -365,8 +316,8 @@ impl<'a> ParallelEventSim<'a> {
 
     /// Instruments every future run: each worker's private engine
     /// attaches [`tm_obs::SimMetrics`] handles registered in
-    /// `registry` under `"<prefix>.scalar.*"` (scalar workers) or
-    /// `"<prefix>.sliced.*"` (64-wide workers).  Because the engines
+    /// `registry` under `"<prefix>.scalar.*"` (scalar train workers) or
+    /// `"<prefix>.sliced.*"` (64-wide word workers).  Because the engines
     /// flush per settle and the registry's merge is commutative, the
     /// registry snapshot after a run is **bit-identical at any thread
     /// count** — the sharded analogue of the latency bit-identity
@@ -380,7 +331,7 @@ impl<'a> ParallelEventSim<'a> {
         self.metrics = None;
     }
 
-    /// Handle set scalar workers attach, if instrumented.
+    /// Handle set scalar train workers attach, if instrumented.
     fn scalar_metrics(&self) -> Option<tm_obs::SimMetrics> {
         self.metrics.as_ref().map(|(registry, prefix)| {
             tm_obs::SimMetrics::register(registry, &format!("{prefix}.scalar"))
@@ -394,135 +345,14 @@ impl<'a> ParallelEventSim<'a> {
         })
     }
 
-    /// Shards arbitrary per-item work across this runner's workers: each
-    /// worker builds its private state once from a fresh [`Simulator`]
-    /// instance over the shared program (`init`), then `step` processes
-    /// every item that worker claims, and the results are merged **in
-    /// item order** — the replication-and-merge machinery of
-    /// [`ParallelEventSim::run_operands`] with the per-item protocol
-    /// supplied by the caller.
-    ///
-    /// This is the hook protocol-level drivers build on (e.g. the
-    /// `dualrail` crate's sharded four-phase driver, which wraps each
-    /// worker's simulator in a full protocol checker).  The caller is
-    /// responsible for making `step` history-independent — under the
-    /// [`ShardingContract::ResetPhase`] contract that means verifying
-    /// the quiescent state every cycle.
-    pub fn run_with<T, W, R>(
-        &self,
-        items: &[T],
-        init: impl Fn(Simulator<'a>) -> W + Sync,
-        step: impl Fn(&mut W, &T) -> R + Sync,
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-    {
-        let program = &self.program;
-        let metrics = self.scalar_metrics();
-        let per_chunk = self.executor.map_chunks_with(
-            items,
-            OPERANDS_PER_CHUNK,
-            || {
-                let mut sim = Simulator::from_program(Arc::clone(program));
-                if let Some(handles) = metrics.clone() {
-                    sim.attach_metrics_deferred(handles);
-                }
-                init(sim)
-            },
-            |worker, _, chunk| {
-                chunk
-                    .iter()
-                    .map(|item| step(worker, item))
-                    .collect::<Vec<_>>()
-            },
-        );
-        per_chunk.into_iter().flatten().collect()
-    }
-
-    /// Replays every operand through a return-to-zero cycle
-    /// ([`run_return_to_zero`]), sharding disjoint operand ranges across
-    /// worker threads, and returns the per-operand results in operand
-    /// order — outputs and latencies bit-identical to streaming the same
-    /// operands through one instance, at any thread count.
-    ///
-    /// Each operand is one `Vec<bool>` with one bit per primary input in
-    /// port declaration order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an operand has the wrong width or the circuit fails to
-    /// settle (see [`run_return_to_zero`]).
-    #[must_use]
-    pub fn run_operands(&self, operands: &[Vec<bool>]) -> Vec<OperandRun> {
-        let verify = self.contract == ShardingContract::ResetPhase;
-        self.run_with(
-            operands,
-            |sim| (sim, None::<Vec<Logic>>),
-            move |(sim, snapshot), operand| {
-                // Under the reset-phase contract the settled spacer state
-                // is verified against the worker's first one; replicated
-                // instances are deterministic, so every worker's snapshot
-                // is the same state.
-                run_return_to_zero_checked(sim, operand, verify.then_some(snapshot))
-            },
-        )
-    }
-
-    /// Like [`ParallelEventSim::run_operands`], additionally aggregating
-    /// the per-operand latencies into a [`LatencyReport`].
-    #[must_use]
-    pub fn run_operands_with_report(
-        &self,
-        operands: &[Vec<bool>],
-    ) -> (Vec<OperandRun>, LatencyReport) {
-        let runs = self.run_operands(operands);
-        let report = LatencyReport::from_runs(&runs);
-        (runs, report)
-    }
-
-    /// Like [`ParallelEventSim::run_operands`], but every worker
-    /// installs `plan` (and the `horizon_ps` watchdog bound, when
-    /// given) on its private instance before replaying, and each
-    /// operand that fails to settle within the watchdog bounds — or
-    /// breaks the reset-phase contract — yields a typed
-    /// [`SettleError`] instead of panicking the worker.
-    ///
-    /// With an empty plan and no horizon this is bit-identical to
-    /// [`ParallelEventSim::run_operands`] (property-tested); results
-    /// stay in operand order and bit-identical at any thread count.
-    #[must_use]
-    pub fn run_operands_faulted(
-        &self,
-        operands: &[Vec<bool>],
-        plan: &FaultPlan,
-        horizon_ps: Option<f64>,
-    ) -> Vec<Result<OperandRun, SettleError>> {
-        let verify = self.contract == ShardingContract::ResetPhase;
-        self.run_with(
-            operands,
-            |mut sim| {
-                if let Some(horizon) = horizon_ps {
-                    sim.set_time_horizon_ps(horizon);
-                }
-                sim.set_fault_plan(plan);
-                (sim, None::<Vec<Logic>>)
-            },
-            move |(sim, snapshot), operand| {
-                try_run_return_to_zero_checked(sim, operand, verify.then_some(snapshot))
-            },
-        )
-    }
-
     /// Shards per-**word** work across this runner's workers: items are
     /// chunked into words of up to [`netlist::LANES`] entries, each
     /// worker builds its private state once from a fresh
     /// [`SlicedSimulator`] over the shared program (`init`), `step`
     /// processes one whole word at a time (returning one result per
     /// item, in item order), and the per-word result vectors are
-    /// flattened back **in item order** — the 64-wide analogue of
-    /// [`ParallelEventSim::run_with`], and the hook the sliced
-    /// protocol drivers build on.
+    /// flattened back **in item order** — the hook the sliced protocol
+    /// drivers build on.
     pub fn run_words_with<T, W, R>(
         &self,
         items: &[T],
@@ -550,13 +380,14 @@ impl<'a> ParallelEventSim<'a> {
         per_word.into_iter().flatten().collect()
     }
 
-    /// Like [`ParallelEventSim::run_with`], but items are claimed in
-    /// fixed position-based **trains** of `train_len` items and `step`
-    /// receives each whole train at once (returning one result per
-    /// item, in item order).  Wavefront-pipelined drivers build on this:
-    /// a train is the unit that shares in-flight circuit state, so a
-    /// train must be a pure function of its own operands for results to
-    /// stay bit-identical at any thread count — which position-based
+    /// Like [`ParallelEventSim::run_words_with`], but items are claimed
+    /// in fixed position-based **trains** of `train_len` items, each
+    /// worker's private state is built from a scalar [`Simulator`], and
+    /// `step` receives each whole train at once (returning one result
+    /// per item, in item order).  Wavefront-pipelined drivers build on
+    /// this: a train is the unit that shares in-flight circuit state, so
+    /// a train must be a pure function of its own operands for results
+    /// to stay bit-identical at any thread count — which position-based
     /// chunking plus per-train time rebasing guarantees.
     ///
     /// # Panics
@@ -596,9 +427,8 @@ impl<'a> ParallelEventSim<'a> {
     /// sharding disjoint **words** of up to 64 operands across worker
     /// threads, and returns the per-operand results in operand order —
     /// outputs, per-operand latencies and event counts bit-identical
-    /// to [`ParallelEventSim::run_operands`] (and therefore to a
-    /// streamed scalar instance), at any thread count, at roughly the
-    /// word width's multiple of its throughput.
+    /// to streaming the same operands through one [`Simulator`] with
+    /// [`run_return_to_zero`], at any thread count.
     ///
     /// # Panics
     ///
@@ -616,8 +446,7 @@ impl<'a> ParallelEventSim<'a> {
         )
     }
 
-    /// The 64-wide analogue of
-    /// [`ParallelEventSim::run_operands_faulted`]: every worker
+    /// Like [`ParallelEventSim::run_operands_sliced`], but every worker
     /// installs `plan` (and the `horizon_ps` watchdog bound, when
     /// given) on its private sliced instance, and a word whose settle
     /// trips the watchdog or breaks the reset-phase contract yields
@@ -652,18 +481,6 @@ impl<'a> ParallelEventSim<'a> {
                 Err(error) => word.iter().map(|_| Err(error.clone())).collect(),
             },
         )
-    }
-
-    /// Like [`ParallelEventSim::run_operands_sliced`], additionally
-    /// aggregating the per-operand latencies into a [`LatencyReport`].
-    #[must_use]
-    pub fn run_operands_sliced_with_report(
-        &self,
-        operands: &[Vec<bool>],
-    ) -> (Vec<OperandRun>, LatencyReport) {
-        let runs = self.run_operands_sliced(operands);
-        let report = LatencyReport::from_runs(&runs);
-        (runs, report)
     }
 }
 
@@ -709,23 +526,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_streamed_reference_at_several_thread_counts() {
-        let nl = xor_chain();
-        let library = lib();
-        let operands: Vec<Vec<bool>> = (0..23u32)
-            .map(|p| (0..4).map(|b| p & (1 << b) != 0).collect())
-            .collect();
-        let expected = stream(&nl, &library, &operands);
-        for threads in [1, 2, 7] {
-            let sim = ParallelEventSim::new(&nl, &library, threads);
-            assert_eq!(sim.threads(), threads);
-            let (runs, report) = sim.run_operands_with_report(&operands);
-            assert_eq!(runs, expected, "threads = {threads}");
-            assert_eq!(report, LatencyReport::from_runs(&expected));
-        }
-    }
-
-    #[test]
     fn latency_is_the_sum_of_gate_delays_on_a_chain() {
         let mut nl = Netlist::new("chain");
         let mut net = nl.add_input("a");
@@ -737,7 +537,7 @@ mod tests {
         nl.add_output("y", net);
         let library = lib();
         let sim = ParallelEventSim::new(&nl, &library, 2);
-        let runs = sim.run_operands(&[vec![true], vec![false]]);
+        let runs = sim.run_operands_sliced(&[vec![true], vec![false]]);
         let expected = 6.0 * library.cell_delay(CellKind::Buf, 1);
         assert!((runs[0].latency_ps - expected).abs() < 1e-6);
         assert_eq!(runs[0].outputs, vec![Logic::One]);
@@ -745,16 +545,6 @@ mod tests {
         assert_eq!(runs[1].latency_ps, 0.0);
         assert_eq!(runs[1].events, 0);
         assert_eq!(runs[1].outputs, vec![Logic::Zero]);
-    }
-
-    #[test]
-    fn empty_operand_list_yields_empty_results() {
-        let nl = xor_chain();
-        let library = lib();
-        let sim = ParallelEventSim::new(&nl, &library, 3);
-        let (runs, report) = sim.run_operands_with_report(&[]);
-        assert!(runs.is_empty());
-        assert_eq!(report.count(), 0);
     }
 
     #[test]
@@ -771,7 +561,8 @@ mod tests {
 
     /// A C-element whose inputs all return to zero honours the
     /// reset-phase contract: the spacer resets it, so sharding the
-    /// operand stream stays bit-identical to streaming it.
+    /// operand stream (70 operands = one full word + a 6-lane tail)
+    /// stays bit-identical to streaming it.
     #[test]
     fn reset_phase_contract_admits_self_resetting_sequential_netlists() {
         use crate::program::EngineProgram;
@@ -784,19 +575,19 @@ mod tests {
         nl.add_output("y", y);
         let library = lib();
 
-        let operands: Vec<Vec<bool>> = (0..13u32).map(|p| vec![p & 1 != 0, p & 2 != 0]).collect();
+        let operands: Vec<Vec<bool>> = (0..70u32).map(|p| vec![p & 1 != 0, p & 2 != 0]).collect();
         let expected = stream(&nl, &library, &operands);
         for threads in [1, 2, 7] {
             let program = Arc::new(EngineProgram::new(&nl, &library));
             let sim = ParallelEventSim::assume_reset_phase(program, exec::Executor::new(threads));
             assert_eq!(sim.contract(), ShardingContract::ResetPhase);
-            let runs = sim.run_operands(&operands);
+            let runs = sim.run_operands_sliced(&operands);
             assert_eq!(runs, expected, "threads = {threads}");
         }
     }
 
     /// A C-element held by a tie-high input does *not* reset on the
-    /// spacer; the per-cycle verification catches the broken assertion
+    /// spacer; the per-word verification catches the broken assertion
     /// instead of silently returning history-dependent results.
     #[test]
     #[should_panic(expected = "reset-phase contract violated")]
@@ -811,9 +602,10 @@ mod tests {
         let library = lib();
         let program = Arc::new(EngineProgram::new(&nl, &library));
         let sim = ParallelEventSim::assume_reset_phase(program, exec::Executor::new(1));
-        // Operand 1 sets the C-element; the spacer before operand 2 can
-        // no longer reach the first spacer's state.
-        let _ = sim.run_operands(&[vec![true], vec![false]]);
+        // The first word sets the C-element on every lane; the spacer
+        // before the second word can no longer reach the first
+        // spacer's state.
+        let _ = sim.run_operands_sliced(&vec![vec![true]; netlist::LANES + 1]);
     }
 
     #[test]
@@ -822,7 +614,7 @@ mod tests {
         let nl = xor_chain();
         let library = lib();
         let sim = ParallelEventSim::new(&nl, &library, 1);
-        let _ = sim.run_operands(&[vec![true; 3]]);
+        let _ = sim.run_operands_sliced(&[vec![true; 3]]);
     }
 
     #[test]
@@ -840,32 +632,12 @@ mod tests {
         let expected = stream(&nl, &library, &operands);
         for threads in [1, 2, 7] {
             let sim = ParallelEventSim::new(&nl, &library, threads);
-            let (runs, report) = sim.run_operands_sliced_with_report(&operands);
+            assert_eq!(sim.threads(), threads);
+            let runs = sim.run_operands_sliced(&operands);
             assert_eq!(runs, expected, "threads = {threads}");
-            assert_eq!(report, LatencyReport::from_runs(&expected));
-        }
-    }
-
-    #[test]
-    fn sliced_reset_phase_contract_matches_streamed_reference() {
-        use crate::program::EngineProgram;
-
-        let mut nl = Netlist::new("celem_rtz");
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let c = nl.add_cell("cel", CellKind::CElement2, &[a, b]).unwrap();
-        let y = nl.add_cell("buf", CellKind::Buf, &[c]).unwrap();
-        nl.add_output("y", y);
-        let library = lib();
-        let operands: Vec<Vec<bool>> = (0..70u32).map(|p| vec![p & 1 != 0, p & 2 != 0]).collect();
-        let expected = stream(&nl, &library, &operands);
-        for threads in [1, 2] {
-            let program = Arc::new(EngineProgram::new(&nl, &library));
-            let sim = ParallelEventSim::assume_reset_phase(program, exec::Executor::new(threads));
             assert_eq!(
-                sim.run_operands_sliced(&operands),
-                expected,
-                "threads = {threads}"
+                LatencyReport::from_runs(&runs),
+                LatencyReport::from_runs(&expected)
             );
         }
     }
@@ -875,8 +647,8 @@ mod tests {
         let nl = xor_chain();
         let library = lib();
         let sim = ParallelEventSim::new(&nl, &library, 2);
-        let (runs, report) = sim.run_operands_sliced_with_report(&[]);
+        let runs = sim.run_operands_sliced(&[]);
         assert!(runs.is_empty());
-        assert_eq!(report.count(), 0);
+        assert_eq!(LatencyReport::from_runs(&runs).count(), 0);
     }
 }

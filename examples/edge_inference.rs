@@ -86,14 +86,15 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
 
     // 4. The same workload at bulk scale: the combinational golden model
-    //    on the event-driven simulator, operands sharded across worker
-    //    threads (bit-identical to a streamed single instance at any
-    //    thread count).  Each operand's injection->settle time is the
-    //    data-dependent latency the asynchronous design exploits.
+    //    on the bit-sliced event-driven simulator, 64-operand words
+    //    sharded across worker threads (bit-identical to a streamed
+    //    single instance at any thread count).  Each operand's
+    //    injection->settle time is the data-dependent latency the
+    //    asynchronous design exploits.
     let model = BatchGoldenModel::generate(&config)?;
     let threads = tm_async::exec::available_parallelism();
     let event = EventDrivenInference::new(&model, &library, threads);
-    let run = event.run_workload(&workload)?;
+    let run = event.run_workload_sliced(&workload)?;
     assert_eq!(
         &run.outcomes,
         workload.expected(),

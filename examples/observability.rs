@@ -36,17 +36,17 @@ fn main() -> Result<(), Box<dyn Error>> {
     let registry = Arc::new(MetricsRegistry::new());
     let mut event = EventDrivenInference::new(&model, &library, 2);
     event.set_metrics(&registry, "event");
-    let run = event.run_workload(&workload)?;
+    let run = event.run_workload_sliced(&workload)?;
     assert_eq!(run.outcomes.as_slice(), workload.expected());
     let mut dual = DualRailInference::new(&datapath, &library, 2)?;
     dual.set_metrics(&registry, "dualrail");
-    let run = dual.run_workload(&workload)?;
+    let run = dual.run_workload_sliced(&workload)?;
     assert_eq!(run.outcomes.as_slice(), workload.expected());
 
     let snapshot = registry.snapshot();
     println!("engine metrics after both runs:\n{}", snapshot.render());
-    assert!(snapshot.counter("event.scalar.events_popped") > 0);
-    assert!(snapshot.counter("dualrail.scalar.protocol.cycles") > 0);
+    assert!(snapshot.counter("event.sliced.events_popped") > 0);
+    assert!(snapshot.counter("dualrail.sliced.protocol.cycles") > 0);
 
     // 2. Waveform: record one four-phase handshake cycle.  The probe
     //    watches the comparator's 1-of-n rails, `done`, and each

@@ -14,7 +14,8 @@
 //!   synchronous clock period);
 //! * [`gatesim`] — an event-driven gate-level simulator with latency and
 //!   switching-activity monitors, an `Arc`-shared engine compilation
-//!   ([`gatesim::EngineProgram`]) and an operand-sharded parallel mode
+//!   ([`gatesim::EngineProgram`]), a 64-lane bit-sliced kernel
+//!   ([`gatesim::SlicedSimulator`]) and a word-sharded parallel mode
 //!   ([`gatesim::ParallelEventSim`]);
 //! * [`dualrail`] — the paper's core contribution: early-propagative
 //!   dual-rail expansion with a reduced completion-detection scheme;
@@ -25,7 +26,8 @@
 //!   single-rail synchronous and dual-rail asynchronous styles, plus
 //!   the bulk-inference runtimes ([`datapath::BatchInference`],
 //!   [`datapath::ParallelBatchInference`] and the per-operand-latency
-//!   [`datapath::EventDrivenInference`]);
+//!   [`datapath::EventDrivenInference`] and
+//!   [`datapath::DualRailInference`]);
 //! * [`obs`] — the unified observability layer: a deterministic
 //!   metrics registry (atomic counters/gauges/histograms with
 //!   bit-identical snapshots at any thread count), VCD waveform
@@ -35,7 +37,8 @@
 //!   requests on a deterministic virtual clock, dynamic batching (lanes
 //!   full or deadline), bounded-queue admission control (block/shed) and
 //!   queueing-vs-service tail-latency telemetry over any of the four
-//!   inference engines ([`serve::Backend`]).
+//!   inference engines — 64-lane batch, sharded batch, and the bit-sliced
+//!   event-driven and dual-rail simulators ([`serve::Backend`]).
 //!
 //! # Quickstart
 //!
@@ -52,7 +55,7 @@
 //! ```
 //!
 //! See `examples/` for end-to-end scenarios (`edge_inference` ends with
-//! the sharded per-operand event path), `ARCHITECTURE.md` for the
+//! the word-sharded per-operand-latency event path), `ARCHITECTURE.md` for the
 //! design of the batch spine, the sharding contract, the three-tier
 //! event queue and the engine-program split, and `crates/bench` for the
 //! harness that regenerates every table and figure of the paper.

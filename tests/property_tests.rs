@@ -407,18 +407,19 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Sharded event-driven simulation: ParallelEventSim ≡ one streamed
-// Simulator instance at every thread count, outputs and latencies alike
+// Sharded event-driven simulation: ParallelEventSim's word runner ≡ one
+// streamed Simulator instance at every thread count, outputs and
+// latencies alike
 // ---------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Replaying independent return-to-zero operand cycles on replicated
-    /// engine instances changes nothing: outputs, injection latencies
-    /// and event counts are bit-identical to streaming the same operands
-    /// through a single simulator, at thread counts {1, 2, 7}, on random
-    /// combinational netlists.
+    /// Replaying independent return-to-zero operand cycles in 64-lane
+    /// words on replicated engine instances changes nothing: outputs,
+    /// injection latencies and event counts are bit-identical to
+    /// streaming the same operands through a single scalar simulator,
+    /// at thread counts {1, 2, 7}, on random combinational netlists.
     #[test]
     fn parallel_event_sim_matches_streamed_instance(
         kinds in proptest::collection::vec(0usize..6, 10),
@@ -467,9 +468,14 @@ proptest! {
 
         for threads in [1usize, 2, 7] {
             let sim = ParallelEventSim::new(&nl, &library, threads);
-            let (runs, report) = sim.run_operands_with_report(&operands);
+            let runs = sim.run_operands_sliced(&operands);
             prop_assert_eq!(&runs, &expected, "threads {}", threads);
-            prop_assert_eq!(&report, &expected_report, "threads {}", threads);
+            prop_assert_eq!(
+                &LatencyReport::from_runs(&runs),
+                &expected_report,
+                "threads {}",
+                threads
+            );
         }
     }
 }
@@ -477,9 +483,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The sharded event-driven inference path agrees with the software
-    /// golden model on arbitrary workloads and produces bit-identical
-    /// outcomes *and* latency reports at thread counts {1, 2, 7}.
+    /// The sharded event-driven inference path, fed a borrowed
+    /// micro-batch through `run_features_sliced` as a serving backend
+    /// feeds it, agrees with the software golden model on arbitrary
+    /// workloads and produces bit-identical outcomes *and* latency
+    /// reports at thread counts {1, 2, 7}.
     #[test]
     fn event_driven_inference_matches_golden_and_thread_count_is_invisible(
         seed in 0u64..10_000,
@@ -491,16 +499,17 @@ proptest! {
         let workload = InferenceWorkload::random(&config, operands, 0.7, seed).expect("workload");
         let model = BatchGoldenModel::generate(&config).expect("generation");
         let library = Library::umc_ll();
+        let batch: Vec<&[bool]> = workload.feature_vectors().iter().map(Vec::as_slice).collect();
 
         let reference = EventDrivenInference::new(&model, &library, 1)
-            .run_workload(&workload)
+            .run_features_sliced(workload.masks(), &batch)
             .expect("event-driven run");
         prop_assert_eq!(reference.outcomes.as_slice(), workload.expected());
         prop_assert_eq!(reference.latency.count(), workload.len());
 
         for threads in [2usize, 7] {
             let run = EventDrivenInference::new(&model, &library, threads)
-                .run_workload(&workload)
+                .run_features_sliced(workload.masks(), &batch)
                 .expect("event-driven run");
             prop_assert_eq!(&run, &reference, "threads {}", threads);
         }
@@ -508,32 +517,33 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Sharded dual-rail protocol driving: ParallelProtocolDriver ≡ one
-// streamed contract-mode ProtocolDriver at every thread count — decoded
-// outputs, s→v / v→s latencies and done latencies alike
+// Sharded dual-rail protocol driving: ParallelProtocolDriver's word
+// runner ≡ one streamed contract-mode ProtocolDriver at every thread
+// count — decoded outputs, s→v latencies and done latencies alike
 // ---------------------------------------------------------------------
 
 proptest! {
     // Each case simulates a full dual-rail datapath through four-phase
-    // cycles at four thread counts, so run few cases.
+    // cycles on two streamed drivers and three sharded runs, so run few
+    // cases.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Sharding a dual-rail operand stream under the verified
-    /// reset-phase contract changes nothing: every per-operand
-    /// measurement (decoded outputs, spacer→valid, valid→spacer and
-    /// done latencies, cycle times, probe values) is bit-identical to
-    /// streaming the same operands through a single contract-mode
-    /// driver, at thread counts {1, 2, 7}, for arbitrary masks and
-    /// features — and the decoded outcomes match the software golden
-    /// model.
+    /// Sharding a dual-rail operand stream in 64-lane words under the
+    /// verified reset-phase contract changes nothing a plain streamed
+    /// contract-mode driver measures in the valid phase: decoded
+    /// outputs, probe values, spacer→valid and done latencies are
+    /// bit-identical at thread counts {1, 2, 7}, for arbitrary masks
+    /// and features.  The whole per-operand result, valid→spacer and
+    /// cycle times included, equals the same streamed driver in the
+    /// phase-rebased frame (`rebased_reference_driver`).
     #[test]
     fn sharded_dual_rail_driver_matches_streamed_contract_driver(
         seed in 0u64..10_000,
         operands in 1usize..14,
     ) {
-        use tm_async::datapath::{DualRailInference, InferenceWorkload};
-        use tm_async::dualrail::ParallelProtocolDriver;
-        use tm_async::gatesim::LatencyReport;
+        use tm_async::datapath::InferenceWorkload;
+        use tm_async::dualrail::{rebased_reference_driver, ParallelProtocolDriver};
+        use tm_async::gatesim::{LatencyReport, Simulator};
 
         let config = DatapathConfig::new(3, 2).expect("valid");
         let workload = InferenceWorkload::random(&config, operands, 0.7, seed).expect("workload");
@@ -541,37 +551,44 @@ proptest! {
         let library = Library::umc_ll();
         let operand_bits = workload.dual_rail_operands(&datapath).expect("widths");
 
-        // Streamed single-driver reference in contract mode: the exact
-        // per-operand code path the workers replay, on one instance.
-        let mut streamed = ProtocolDriver::new(datapath.circuit(), &library).expect("driver");
-        let snapshot = streamed.quiescent_snapshot();
-        streamed.enable_reset_contract(snapshot);
+        // Streamed single-driver references in contract mode: the plain
+        // timebase, and the phase-rebased one the word runner reports in.
+        let mut contract = ProtocolDriver::new(datapath.circuit(), &library).expect("driver");
+        let snapshot = contract.quiescent_snapshot();
+        contract.enable_reset_contract(snapshot.clone());
+        let plain: Vec<_> = operand_bits
+            .iter()
+            .map(|operand| contract.apply_operand(operand).expect("protocol cycle"))
+            .collect();
+        let mut rebased = rebased_reference_driver(
+            datapath.circuit(),
+            Simulator::new(datapath.circuit().netlist(), &library),
+            snapshot,
+            true,
+        )
+        .expect("driver");
         let expected: Vec<_> = operand_bits
             .iter()
-            .map(|operand| streamed.apply_operand(operand).expect("protocol cycle"))
+            .map(|operand| rebased.apply_operand(operand).expect("protocol cycle"))
             .collect();
-        let expected_latency = LatencyReport::from_latencies(
-            expected.iter().map(|r| r.s_to_v_latency_ps).collect(),
-        );
-        let expected_done: Option<Vec<f64>> =
-            expected.iter().map(|r| r.done_latency_ps).collect();
+        let expected_latency =
+            LatencyReport::from_latencies(plain.iter().map(|r| r.s_to_v_latency_ps).collect());
+        let expected_done: Option<Vec<f64>> = plain.iter().map(|r| r.done_latency_ps).collect();
         let expected_done = expected_done.expect("completion detection present");
 
         for threads in [1usize, 2, 7] {
             let driver = ParallelProtocolDriver::new(datapath.circuit(), &library, threads)
                 .expect("driver");
-            let run = driver.run_workload(&operand_bits).expect("sharded run");
+            let run = driver.run_workload_sliced(&operand_bits).expect("sharded run");
             prop_assert_eq!(&run.results, &expected, "threads {}", threads);
             prop_assert_eq!(&run.latency, &expected_latency, "threads {}", threads);
             let done = run.done_latency().expect("done present on every operand");
             prop_assert_eq!(done.latencies_ps(), expected_done.as_slice(), "threads {}", threads);
-
-            // The inference-level wrapper decodes the same results into
-            // golden-comparable outcomes.
-            let inference = DualRailInference::new(&datapath, &library, threads).expect("driver");
-            let run = inference.run_workload(&workload).expect("inference run");
-            prop_assert_eq!(run.outcomes.as_slice(), workload.expected(), "threads {}", threads);
-            prop_assert_eq!(&run.results, &expected, "threads {}", threads);
+            for (k, (got, want)) in run.results.iter().zip(&plain).enumerate() {
+                prop_assert_eq!(&got.outputs, &want.outputs, "threads {} operand {}", threads, k);
+                prop_assert_eq!(&got.one_of_n, &want.one_of_n, "threads {} operand {}", threads, k);
+                prop_assert_eq!(&got.probes, &want.probes, "threads {} operand {}", threads, k);
+            }
         }
     }
 }
@@ -776,11 +793,11 @@ proptest! {
     // and request counts small.
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Serving through the event-driven and dual-rail simulation
-    /// backends, scalar and bit-sliced, also reproduces the golden
-    /// outcomes exactly, with thread-count-invariant reports under a
-    /// fixed service model — the serving layer composes with the
-    /// reset-phase sharding contract unchanged.
+    /// Serving through the bit-sliced event-driven and dual-rail
+    /// simulation backends also reproduces the golden outcomes exactly,
+    /// with thread-count-invariant reports under a fixed service model
+    /// — the serving layer composes with the reset-phase sharding
+    /// contract unchanged.
     #[test]
     fn served_simulation_backends_match_golden_and_threads_are_invisible(
         seed in 0u64..10_000,
@@ -788,8 +805,8 @@ proptest! {
     ) {
         use tm_async::datapath::{BatchGoldenModel, InferenceWorkload};
         use tm_async::serve::{
-            Backend, DualRailBackend, DualRailSlicedBackend, EventDrivenBackend,
-            EventSlicedBackend, ServeConfig, Server, ServeReport, ServiceModel, Trace,
+            Backend, DualRailSlicedBackend, EventSlicedBackend, ServeConfig, Server, ServeReport,
+            ServiceModel, Trace,
         };
 
         let config = DatapathConfig::new(3, 2).expect("valid");
@@ -809,19 +826,11 @@ proptest! {
             server.run(&trace).expect("serve run")
         };
 
-        for backend_kind in ["event_driven", "dual_rail", "event_sliced", "dualrail_sliced"] {
+        for backend_kind in ["event_sliced", "dualrail_sliced"] {
             let mut reference: Option<ServeReport> = None;
             for threads in [1usize, 2, 7] {
                 let masks = workload.masks().clone();
                 let backend: Box<dyn Backend + Send> = match backend_kind {
-                    "event_driven" => Box::new(
-                        EventDrivenBackend::new(&model, &library, masks, threads)
-                            .expect("backend"),
-                    ),
-                    "dual_rail" => Box::new(
-                        DualRailBackend::new(&datapath, &library, masks, threads)
-                            .expect("backend"),
-                    ),
                     "event_sliced" => Box::new(
                         EventSlicedBackend::new(&model, &library, masks, threads)
                             .expect("backend"),
@@ -921,26 +930,45 @@ proptest! {
     // operand counts small.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The bit-sliced event-driven inference engine is bit-identical to
-    /// the streamed scalar engine on arbitrary workloads — the whole
-    /// run (outcomes, per-operand latency distribution, event totals),
-    /// not just outcomes — at thread counts {1, 2, 7}.  Operand counts
-    /// above 64 exercise multi-word sharding with a partial final word.
+    /// The bit-sliced event-driven inference engine agrees with the
+    /// software golden model and is bit-identical to the streamed scalar
+    /// engine on arbitrary workloads — the whole run (outcomes and every
+    /// per-operand latency), not just outcomes — at thread counts
+    /// {1, 2, 7}.  The oracle is one scalar `Simulator` driven operand
+    /// by operand through `run_return_to_zero` and decoded with
+    /// `decode_operand_run`: it shares no executor, chunking or merge
+    /// code with the sharded word runner.  Operand counts above 64
+    /// exercise multi-word sharding with a partial final word.
     #[test]
     fn sliced_event_engine_matches_scalar_on_random_workloads(
         seed in 0u64..10_000,
         operands in 1usize..100,
     ) {
-        use tm_async::datapath::{BatchGoldenModel, EventDrivenInference, InferenceWorkload};
+        use tm_async::datapath::{
+            decode_operand_run, operand_bit_vectors, BatchGoldenModel, EventDrivenInference,
+            EventDrivenRun, InferenceWorkload,
+        };
+        use tm_async::gatesim::{run_return_to_zero, LatencyReport, Simulator};
 
         let config = DatapathConfig::new(4, 2).expect("valid");
         let workload = InferenceWorkload::random(&config, operands, 0.7, seed).expect("workload");
         let model = BatchGoldenModel::generate(&config).expect("generation");
         let library = Library::umc_ll();
 
-        let reference = EventDrivenInference::new(&model, &library, 1)
-            .run_workload(&workload)
-            .expect("scalar event-driven run");
+        let operand_bits =
+            operand_bit_vectors(&config, workload.masks(), workload.feature_vectors());
+        let mut streamed = Simulator::new(model.netlist(), &library);
+        let runs: Vec<_> = operand_bits
+            .iter()
+            .map(|operand| run_return_to_zero(&mut streamed, operand))
+            .collect();
+        let outcomes = runs
+            .iter()
+            .enumerate()
+            .map(|(k, run)| decode_operand_run(run, k))
+            .collect::<Result<Vec<_>, _>>()
+            .expect("streamed decode");
+        let reference = EventDrivenRun { outcomes, latency: LatencyReport::from_runs(&runs) };
         prop_assert_eq!(reference.outcomes.as_slice(), workload.expected());
 
         for threads in [1usize, 2, 7] {
@@ -952,45 +980,65 @@ proptest! {
         }
     }
 
-    /// The bit-sliced dual-rail driver reproduces the streamed contract
-    /// driver's golden outcomes and its exact per-operand spacer→valid
-    /// and `done` latencies on arbitrary workloads, and the full run is
-    /// invariant across thread counts {1, 2, 7}.  (The sliced timebase
-    /// is phase-rebased, so `valid→spacer` and cycle-time figures may
-    /// differ from the plain streamed driver in the last ULPs — the
-    /// dedicated unit tests bound that drift; everything asserted here
-    /// is bit-exact.)
+    /// The bit-sliced dual-rail driver reproduces the streamed
+    /// phase-rebased contract driver (`rebased_reference_driver`) on
+    /// arbitrary workloads: every per-operand `OperandResult` — decoded
+    /// outputs, probes, spacer→valid, valid→spacer, `done` and cycle
+    /// times — is bit-identical at thread counts {1, 2, 7}, and the
+    /// decoded outcomes match the software golden model.  The oracle
+    /// streams one scalar driver; it shares no executor, chunking or
+    /// merge code with the sharded word runner.
     #[test]
     fn sliced_dual_rail_matches_the_streamed_contract_driver(
         seed in 0u64..10_000,
-        operands in 1usize..10,
+        operands in 1usize..14,
     ) {
+        use std::sync::Arc;
+
         use tm_async::datapath::{DualRailInference, InferenceWorkload};
+        use tm_async::dualrail::rebased_reference_driver;
+        use tm_async::gatesim::{EngineProgram, LatencyReport, Simulator};
 
         let config = DatapathConfig::new(3, 2).expect("valid");
         let workload = InferenceWorkload::random(&config, operands, 0.6, seed).expect("workload");
         let datapath = DualRailDatapath::generate(&config).expect("generation");
         let library = Library::umc_ll();
+        let operand_bits = workload.dual_rail_operands(&datapath).expect("widths");
 
-        let scalar = DualRailInference::new(&datapath, &library, 1)
+        let program = Arc::new(EngineProgram::new(datapath.circuit().netlist(), &library));
+        let snapshot = ProtocolDriver::from_program(datapath.circuit(), Arc::clone(&program))
             .expect("driver")
-            .run_workload(&workload)
-            .expect("scalar dual-rail run");
-        prop_assert_eq!(scalar.outcomes.as_slice(), workload.expected());
+            .quiescent_snapshot();
+        let mut streamed = rebased_reference_driver(
+            datapath.circuit(),
+            Simulator::from_program(program),
+            snapshot,
+            true,
+        )
+        .expect("driver");
+        let expected: Vec<_> = operand_bits
+            .iter()
+            .map(|operand| streamed.apply_operand(operand).expect("protocol cycle"))
+            .collect();
+        let expected_latency = LatencyReport::from_latencies(
+            expected.iter().map(|r| r.s_to_v_latency_ps).collect(),
+        );
+        let expected_done = expected
+            .iter()
+            .map(|r| r.done_latency_ps)
+            .collect::<Option<Vec<f64>>>()
+            .map(LatencyReport::from_latencies);
+        prop_assert!(expected_done.is_some(), "completion detection present");
 
-        let mut reference = None;
         for threads in [1usize, 2, 7] {
             let engine = DualRailInference::new(&datapath, &library, threads).expect("driver");
             let run = engine
                 .run_workload_sliced(&workload)
                 .expect("sliced dual-rail run");
-            prop_assert_eq!(run.outcomes.as_slice(), workload.expected());
-            prop_assert_eq!(&run.latency, &scalar.latency, "threads {}", threads);
-            prop_assert_eq!(&run.done_latency, &scalar.done_latency, "threads {}", threads);
-            match &reference {
-                None => reference = Some(run),
-                Some(expected) => prop_assert_eq!(&run, expected, "threads {}", threads),
-            }
+            prop_assert_eq!(run.outcomes.as_slice(), workload.expected(), "threads {}", threads);
+            prop_assert_eq!(&run.results, &expected, "threads {}", threads);
+            prop_assert_eq!(&run.latency, &expected_latency, "threads {}", threads);
+            prop_assert_eq!(&run.done_latency, &expected_done, "threads {}", threads);
         }
     }
 }
@@ -1003,12 +1051,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Installing an empty [`FaultPlan`] changes nothing: the scalar
-    /// simulator, the 64-wide bit-sliced simulator and both sharded
-    /// fault entry points (per-operand and per-word, at thread counts
-    /// {1, 2, 7}) produce runs bit-identical — outputs, latencies and
-    /// event counts — to the same engine with no plan installed, on
-    /// random combinational netlists.  This is the contract that lets
+    /// Installing an empty [`FaultPlan`] changes nothing: the streamed
+    /// scalar simulator, the 64-wide bit-sliced simulator and the
+    /// sharded word fault entry point (at thread counts {1, 2, 7})
+    /// produce runs bit-identical — outputs, latencies and event
+    /// counts — to the same engine with no plan installed, on random
+    /// combinational netlists.  This is the contract that lets
     /// the fault campaign share one code path for healthy and faulted
     /// sweeps.
     #[test]
@@ -1017,8 +1065,8 @@ proptest! {
         patterns in proptest::collection::vec(0u32..16, 10),
     ) {
         use tm_async::gatesim::{
-            run_return_to_zero, run_word_return_to_zero, FaultPlan, ParallelEventSim, Simulator,
-            SlicedSimulator,
+            run_return_to_zero, run_word_return_to_zero, try_run_return_to_zero, FaultPlan,
+            ParallelEventSim, Simulator, SlicedSimulator,
         };
 
         let gate = |k: usize| match k {
@@ -1050,7 +1098,8 @@ proptest! {
         prop_assert!(empty.is_empty());
         let library = Library::umc_ll();
 
-        // Scalar engine: healthy stream vs empty-plan stream.
+        // Scalar engine: healthy stream vs empty-plan stream, through
+        // the fallible entry point the fault campaign streams.
         let mut healthy = Simulator::new(&nl, &library);
         let expected: Vec<_> = operands
             .iter()
@@ -1060,8 +1109,9 @@ proptest! {
         overlaid.set_fault_plan(&empty);
         let got: Vec<_> = operands
             .iter()
-            .map(|operand| run_return_to_zero(&mut overlaid, operand))
-            .collect();
+            .map(|operand| try_run_return_to_zero(&mut overlaid, operand))
+            .collect::<Result<_, _>>()
+            .expect("an empty plan cannot trip the watchdog");
         prop_assert_eq!(&got, &expected, "scalar");
 
         // Bit-sliced engine: one word carrying every operand.
@@ -1072,20 +1122,11 @@ proptest! {
         let got_sliced = run_word_return_to_zero(&mut overlaid_sliced, &operands);
         prop_assert_eq!(&got_sliced, &expected_sliced, "sliced");
 
-        // Sharded engines: the faulted entry points with an empty plan
-        // and no horizon must match the plain ones at every thread
-        // count, per-operand and per-word alike.
+        // Sharded word runner: the faulted entry point with an empty
+        // plan and no horizon must match the plain one at every thread
+        // count.
         for threads in [1usize, 2, 7] {
             let sim = ParallelEventSim::new(&nl, &library, threads);
-
-            let baseline = sim.run_operands(&operands);
-            let faulted: Vec<_> = sim
-                .run_operands_faulted(&operands, &empty, None)
-                .into_iter()
-                .collect::<Result<_, _>>()
-                .expect("an empty plan cannot trip the watchdog");
-            prop_assert_eq!(&faulted, &baseline, "parallel scalar, threads {}", threads);
-
             let sliced_baseline = sim.run_operands_sliced(&operands);
             let sliced_faulted: Vec<_> = sim
                 .run_operands_sliced_faulted(&operands, &empty, None)
@@ -1178,8 +1219,8 @@ proptest! {
 
     /// Sharding pipelined trains changes nothing: at thread counts
     /// {1, 2, 7}, the pipelined workload runner reproduces its
-    /// occupancy-1 runs bit-identically against the unpipelined sharded
-    /// runner, the overlapped runs decode to the serial reference, and
+    /// occupancy-1 runs bit-identically against a streamed contract-mode
+    /// driver, the overlapped runs decode to that serial reference, and
     /// every run — results and whole report, measured occupancy
     /// included — is bit-identical across thread counts (trains are
     /// position-chunked pure functions of their own operands).
@@ -1197,13 +1238,20 @@ proptest! {
         let library = Library::umc_ll();
         let operand_bits = workload.dual_rail_operands(&datapath).expect("widths");
 
-        // The unpipelined sharded reference (thread-invariant by the
-        // sharding property above) and single-threaded pipelined
-        // references for the cross-thread comparison; train_length 4
-        // forces multiple trains per run for most cases.
+        // The serial reference: one streamed contract-mode driver.
+        let mut streamed = ProtocolDriver::new(datapath.circuit(), &library).expect("driver");
+        let snapshot = streamed.quiescent_snapshot();
+        streamed.enable_reset_contract(snapshot);
+        let serial: Vec<_> = operand_bits
+            .iter()
+            .map(|operand| streamed.apply_operand(operand).expect("protocol cycle"))
+            .collect();
+
+        // Single-threaded pipelined references for the cross-thread
+        // comparison; train_length 4 forces multiple trains per run for
+        // most cases.
         let reference =
             ParallelProtocolDriver::new(datapath.circuit(), &library, 1).expect("driver");
-        let serial = reference.run_workload(&operand_bits).expect("serial run");
         let configs = [Occupancy::One, Occupancy::Two, Occupancy::Max].map(|occupancy| {
             PipelineConfig {
                 occupancy,
@@ -1216,13 +1264,13 @@ proptest! {
                 .run_workload_pipelined(&operand_bits, cfg)
                 .expect("pipelined run")
         });
-        // Occupancy 1: fully bit-identical to the unpipelined sharded
-        // run, cycle times included.
+        // Occupancy 1: fully bit-identical to the streamed serial
+        // driver, cycle times included.
         let (run1, report1) = &references[0];
-        prop_assert_eq!(&run1.results, &serial.results);
+        prop_assert_eq!(&run1.results, &serial);
         prop_assert_eq!(report1.occupancy, 1);
         for (cfg, (run, report)) in configs.iter().zip(&references).skip(1) {
-            for (k, (g, e)) in run.results.iter().zip(&serial.results).enumerate() {
+            for (k, (g, e)) in run.results.iter().zip(&serial).enumerate() {
                 let mut patched = g.clone();
                 patched.cycle_time_ps = e.cycle_time_ps;
                 prop_assert_eq!(&patched, e, "{:?} token {}", cfg.occupancy, k);
