@@ -375,7 +375,6 @@ fn classify_event_results(
     for (k, result) in results.iter().enumerate() {
         match result {
             Err(SettleError::Watchdog { .. }) => counts.timeout += 1,
-            Err(SettleError::ResetContract { .. }) => counts.detected += 1,
             Ok(run) => match decode_operand_run(run, k) {
                 Err(_) => counts.detected += 1,
                 Ok(outcome) if outcome == golden[k] => counts.masked += 1,

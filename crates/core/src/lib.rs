@@ -24,8 +24,9 @@
 //!   and protocol violations;
 //! * [`parallel`] — [`ParallelProtocolDriver`], the word and train
 //!   drivers below with the operand stream sharded across worker
-//!   threads under the verified reset-phase contract, bit-identical to
-//!   the streamed [`ProtocolDriver`] at any thread count;
+//!   threads by [`exec::Executor::map_chunks_with`] under the verified
+//!   reset-phase contract, bit-identical to the streamed
+//!   [`ProtocolDriver`] at any thread count;
 //! * [`sliced`] — [`SlicedProtocolDriver`], the four-phase environment
 //!   on the bit-sliced event kernel: up to 64 operand lanes per word,
 //!   per-lane results bit-identical to a phase-rebased streamed driver
@@ -81,7 +82,6 @@
 
 pub mod circuit;
 pub mod completion;
-pub mod early;
 pub mod encoding;
 pub mod error;
 pub mod expand;
@@ -96,7 +96,6 @@ pub mod unate;
 
 pub use circuit::{DualRailNetlist, DualRailSignal};
 pub use completion::{CompletionReport, FullCompletion, ReducedCompletion};
-pub use early::EarlyPropagationReport;
 pub use encoding::{DualRailValue, OneOfNValue, SpacerPolarity};
 pub use error::DualRailError;
 pub use expand::{expand_to_dual_rail, ExpansionStyle};

@@ -12,12 +12,11 @@
 //! [`ParallelProtocolDriver`] both relies on it and verifies it on every
 //! cycle against one canonical quiescent snapshot.
 //!
-//! Mechanically this reuses the machinery proven on the combinational
-//! path: the engine compilation is built once and shared
+//! Mechanically this is the replicate-and-shard pattern of every engine
+//! here: the engine compilation is built once and shared
 //! (`Arc<EngineProgram>`), each worker owns a private driver instance,
-//! and work units are claimed dynamically and merged in operand order
-//! (under [`gatesim::ShardingContract::ResetPhase`]).  The driver has two
-//! sharding units:
+//! and work units are claimed by [`exec::Executor::map_chunks_with`] and
+//! merged in operand order.  The driver has two sharding units:
 //!
 //! * the 64-lane **word**
 //!   ([`ParallelProtocolDriver::run_workload_sliced`], one
@@ -63,7 +62,7 @@ use std::sync::Arc;
 
 use celllib::Library;
 use exec::Executor;
-use gatesim::{EngineProgram, LatencyReport, Logic, ParallelEventSim, PipelineReport, Simulator};
+use gatesim::{EngineProgram, LatencyReport, Logic, PipelineReport, Simulator, SlicedSimulator};
 
 use crate::{
     DualRailError, DualRailNetlist, OperandResult, PipelineConfig, PipelinedProtocolDriver,
@@ -113,7 +112,12 @@ impl ParallelProtocolRun {
 #[derive(Debug)]
 pub struct ParallelProtocolDriver<'a> {
     circuit: &'a DualRailNetlist,
-    sim: ParallelEventSim<'a>,
+    program: Arc<EngineProgram<'a>>,
+    /// The C-element latches and completion tree make the netlist
+    /// sequential; sharding it is sound because — and only because —
+    /// the reset-phase contract restores one quiescent state per
+    /// cycle, which every worker verifies after every cycle.
+    executor: Executor,
     /// Canonical quiescent state, captured once from a settled reference
     /// driver and verified by every worker after every cycle.
     snapshot: Arc<[Logic]>,
@@ -139,19 +143,6 @@ impl<'a> ParallelProtocolDriver<'a> {
         library: &Library,
         threads: usize,
     ) -> Result<Self, DualRailError> {
-        Self::with_executor(circuit, library, Executor::new(threads))
-    }
-
-    /// Like [`ParallelProtocolDriver::new`] with an explicit executor.
-    ///
-    /// # Errors
-    ///
-    /// See [`ParallelProtocolDriver::new`].
-    pub fn with_executor(
-        circuit: &'a DualRailNetlist,
-        library: &Library,
-        executor: Executor,
-    ) -> Result<Self, DualRailError> {
         let program = Arc::new(EngineProgram::new(circuit.netlist(), library));
         // Pre-flight on the calling thread: a reference driver settles
         // the initial spacer from X (catching divergence as an error
@@ -163,17 +154,12 @@ impl<'a> ParallelProtocolDriver<'a> {
         // it (`SlicedProtocolDriver::from_sliced_simulator`).  That a
         // settle from X reaches the same state on every lane is pinned
         // by `tests/snapshot_load.rs`.
-        let reference = ProtocolDriver::from_program(circuit, Arc::clone(&program))?;
-        let snapshot = reference.quiescent_snapshot();
-        drop(reference);
-        // The C-element latches and completion tree make the netlist
-        // sequential; sharding is sound because — and only because — the
-        // verified reset-phase contract restores one quiescent state per
-        // cycle.
-        let sim = ParallelEventSim::assume_reset_phase(program, executor);
+        let snapshot =
+            ProtocolDriver::from_program(circuit, Arc::clone(&program))?.quiescent_snapshot();
         Ok(Self {
             circuit,
-            sim,
+            program,
+            executor: Executor::new(threads),
             snapshot,
             check_monotonic: true,
             metrics: None,
@@ -182,36 +168,37 @@ impl<'a> ParallelProtocolDriver<'a> {
 
     /// Routes every worker's instruments into `registry` under
     /// `prefix`: engine counters as `"<prefix>.scalar.*"` (train
-    /// workers) / `"<prefix>.sliced.*"` (word workers; see
-    /// [`ParallelEventSim::set_metrics`]) and protocol counters as
-    /// `"<prefix>.scalar.protocol.*"` / `"<prefix>.sliced.protocol.*"`.
-    /// Workers attach to the **same** instruments, and per-operand work
-    /// is shard-invariant, so `registry.snapshot()` is bit-identical at
-    /// any thread count.
+    /// workers) / `"<prefix>.sliced.*"` (word workers) and protocol
+    /// counters as `"<prefix>.scalar.protocol.*"` /
+    /// `"<prefix>.sliced.protocol.*"`.  Workers attach to the **same**
+    /// instruments, and per-operand work is shard-invariant, so
+    /// `registry.snapshot()` is bit-identical at any thread count.
     pub fn set_metrics(&mut self, registry: &Arc<tm_obs::MetricsRegistry>, prefix: &str) {
-        self.sim.set_metrics(registry, prefix);
         self.metrics = Some((Arc::clone(registry), prefix.to_string()));
     }
 
     /// Stops routing metrics; future runs revert to the zero-overhead
     /// disabled mode.
     pub fn clear_metrics(&mut self) {
-        self.sim.clear_metrics();
         self.metrics = None;
     }
 
-    /// Protocol-level handles for one worker-driver kind, if a registry
-    /// is set.
-    fn protocol_metrics(&self, kind: &str) -> Option<tm_obs::ProtocolMetrics> {
+    /// Engine- and protocol-level handles for one worker-driver kind
+    /// (`"sliced"` or `"scalar"`), if a registry is set.
+    fn worker_metrics(&self, kind: &str) -> Option<(tm_obs::SimMetrics, tm_obs::ProtocolMetrics)> {
         self.metrics.as_ref().map(|(registry, prefix)| {
-            tm_obs::ProtocolMetrics::register(registry, &format!("{prefix}.{kind}.protocol"))
+            let prefix = format!("{prefix}.{kind}");
+            (
+                tm_obs::SimMetrics::register(registry, &prefix),
+                tm_obs::ProtocolMetrics::register(registry, &format!("{prefix}.protocol")),
+            )
         })
     }
 
     /// Number of worker threads the operand stream is sharded across.
     #[must_use]
     pub fn threads(&self) -> usize {
-        self.sim.threads()
+        self.executor.threads()
     }
 
     /// The circuit being driven.
@@ -268,30 +255,35 @@ impl<'a> ParallelProtocolDriver<'a> {
         &self,
         operands: &[Vec<bool>],
     ) -> Result<ParallelProtocolRun, DualRailError> {
-        let circuit = self.circuit;
-        let snapshot = &self.snapshot;
-        let check_monotonic = self.check_monotonic;
-        let metrics = self.protocol_metrics("sliced");
-        let results = self.sim.run_words_with(
+        let metrics = self.worker_metrics("sliced");
+        let per_word = self.executor.map_chunks_with(
             operands,
-            |sim| -> Result<SlicedProtocolDriver<'a>, DualRailError> {
+            netlist::LANES,
+            || -> Result<SlicedProtocolDriver<'a>, DualRailError> {
+                let mut sim = SlicedSimulator::from_program(Arc::clone(&self.program));
+                if let Some((engine, _)) = &metrics {
+                    sim.attach_metrics_deferred(engine.clone());
+                }
                 let mut driver = SlicedProtocolDriver::from_sliced_simulator(
-                    circuit,
+                    self.circuit,
                     sim,
-                    Arc::clone(snapshot),
-                    check_monotonic,
+                    Arc::clone(&self.snapshot),
+                    self.check_monotonic,
                 )?;
-                if let Some(handles) = metrics.clone() {
-                    driver.attach_protocol_metrics(handles);
+                if let Some((_, protocol)) = &metrics {
+                    driver.attach_protocol_metrics(protocol.clone());
                 }
                 Ok(driver)
             },
-            |driver, word: &[Vec<bool>]| match driver {
+            |driver, _, word| match driver {
                 Ok(driver) => driver.apply_word(word),
                 Err(error) => word.iter().map(|_| Err(error.clone())).collect(),
             },
         );
-        let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let results = per_word
+            .into_iter()
+            .flatten()
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(ParallelProtocolRun::from_results(results))
     }
 
@@ -327,34 +319,41 @@ impl<'a> ParallelProtocolDriver<'a> {
         operands: &[Vec<bool>],
         config: PipelineConfig,
     ) -> Result<(ParallelProtocolRun, PipelineReport), DualRailError> {
-        let circuit = self.circuit;
-        let check_monotonic = self.check_monotonic;
-        let train_len = config.train_length.max(1);
-        let metrics = self.protocol_metrics("scalar");
-        let tokens = self.sim.run_trains_with(
+        let metrics = self.worker_metrics("scalar");
+        let per_train = self.executor.map_chunks_with(
             operands,
-            train_len,
-            |sim: Simulator<'a>| -> Result<PipelinedProtocolDriver<'a>, DualRailError> {
-                let mut driver = PipelinedProtocolDriver::from_simulator(circuit, sim, config)?;
-                driver.set_monotonicity_check(check_monotonic);
-                if let Some(handles) = metrics.clone() {
-                    driver.attach_protocol_metrics(handles);
+            config.train_length.max(1),
+            || -> Result<PipelinedProtocolDriver<'a>, DualRailError> {
+                let mut sim = Simulator::from_program(Arc::clone(&self.program));
+                if let Some((engine, _)) = &metrics {
+                    sim.attach_metrics_deferred(engine.clone());
+                }
+                let mut driver =
+                    PipelinedProtocolDriver::from_simulator(self.circuit, sim, config)?;
+                driver.set_monotonicity_check(self.check_monotonic);
+                if let Some((_, protocol)) = &metrics {
+                    driver.attach_protocol_metrics(protocol.clone());
                 }
                 Ok(driver)
             },
             // Each token carries its train's peak occupancy.
-            |driver, train: &[Vec<bool>]| match driver {
-                Ok(driver) => match driver.run_train(train) {
-                    Ok(results) => {
-                        let peak = driver.peak_in_flight();
-                        results.into_iter().map(|r| Ok((r, peak))).collect()
-                    }
+            |driver, _, train| -> Vec<Result<(OperandResult, usize), DualRailError>> {
+                match driver {
+                    Ok(driver) => match driver.run_train(train) {
+                        Ok(results) => {
+                            let peak = driver.peak_in_flight();
+                            results.into_iter().map(|r| Ok((r, peak))).collect()
+                        }
+                        Err(error) => train.iter().map(|_| Err(error.clone())).collect(),
+                    },
                     Err(error) => train.iter().map(|_| Err(error.clone())).collect(),
-                },
-                Err(error) => train.iter().map(|_| Err(error.clone())).collect(),
+                }
             },
         );
-        let tokens = tokens.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let tokens = per_train
+            .into_iter()
+            .flatten()
+            .collect::<Result<Vec<_>, _>>()?;
         let occupancy = tokens.iter().map(|&(_, peak)| peak).max().unwrap_or(0);
         let results: Vec<OperandResult> = tokens.into_iter().map(|(r, _)| r).collect();
         let report = pipeline_report(&results, occupancy);

@@ -39,7 +39,7 @@
 use std::sync::Arc;
 
 use celllib::Library;
-use gatesim::{EngineProgram, FaultPlan, LatencyStats, Logic, Simulator};
+use gatesim::{EngineProgram, FaultPlan, Logic, Simulator};
 use netlist::NetId;
 use sta::GracePeriod;
 
@@ -780,27 +780,6 @@ impl<'a> ProtocolDriver<'a> {
             })
             .collect()
     }
-
-    /// Convenience helper: applies every operand in `workload` and
-    /// returns the spacer→valid latency statistics together with all
-    /// per-operand results.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error from [`ProtocolDriver::apply_operand`].
-    pub fn run_workload(
-        &mut self,
-        workload: &[Vec<bool>],
-    ) -> Result<(LatencyStats, Vec<OperandResult>), DualRailError> {
-        let mut stats = LatencyStats::new();
-        let mut results = Vec::with_capacity(workload.len());
-        for operand in workload {
-            let result = self.apply_operand(operand)?;
-            stats.record(result.s_to_v_latency_ps);
-            results.push(result);
-        }
-        Ok((stats, results))
-    }
 }
 
 #[cfg(test)]
@@ -876,22 +855,6 @@ mod tests {
                 got: 1
             })
         ));
-    }
-
-    #[test]
-    fn workload_statistics_accumulate() {
-        let dr = and_or_circuit();
-        let lib = Library::umc_ll();
-        let mut driver = ProtocolDriver::new(&dr, &lib).unwrap();
-        let workload: Vec<Vec<bool>> = (0..8u32)
-            .map(|p| (0..3).map(|i| p & (1 << i) != 0).collect())
-            .collect();
-        let (stats, results) = driver.run_workload(&workload).unwrap();
-        assert_eq!(stats.count(), 8);
-        assert_eq!(results.len(), 8);
-        assert!(stats.maximum() >= stats.average());
-        assert!(driver.total_transitions() > 0);
-        assert!(driver.now_ps() > 0.0);
     }
 
     /// Regression (done-latency staleness): a `done` net that was

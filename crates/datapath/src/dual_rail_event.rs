@@ -50,7 +50,6 @@
 
 use celllib::Library;
 use dualrail::{OperandResult, ParallelProtocolDriver, ParallelProtocolRun};
-use exec::Executor;
 use gatesim::{LatencyReport, PipelineReport};
 
 use crate::builder::DualRailDatapath;
@@ -102,19 +101,6 @@ impl<'a> DualRailInference<'a> {
         library: &Library,
         threads: usize,
     ) -> Result<Self, DatapathError> {
-        Self::with_executor(datapath, library, Executor::new(threads))
-    }
-
-    /// Like [`DualRailInference::new`] with an explicit executor.
-    ///
-    /// # Errors
-    ///
-    /// See [`DualRailInference::new`].
-    pub fn with_executor(
-        datapath: &'a DualRailDatapath,
-        library: &Library,
-        executor: Executor,
-    ) -> Result<Self, DatapathError> {
         // Arm the static pre-flight verifier before the first driver is
         // built: from here on, every `ProtocolDriver` constructed in
         // this process rejects netlists with error-severity findings
@@ -122,7 +108,7 @@ impl<'a> DualRailInference<'a> {
         // single event.  Shipped datapaths verify clean; the hook
         // guards hand-edited or retrained netlists.
         tm_lint::preflight::install();
-        let driver = ParallelProtocolDriver::with_executor(datapath.circuit(), library, executor)?;
+        let driver = ParallelProtocolDriver::new(datapath.circuit(), library, threads)?;
         Ok(Self { driver, datapath })
     }
 

@@ -11,8 +11,8 @@
 //! fast as its operand allows.
 //!
 //! Operands run 64 to a word on the bit-sliced event kernel
-//! ([`gatesim::SlicedSimulator`]), and words are sharded across an
-//! [`exec::Executor`]'s workers by [`gatesim::ParallelEventSim`]: the
+//! ([`gatesim::SlicedSimulator`]), and [`gatesim::ParallelEventSim`]
+//! shards the words with [`exec::Executor::map_chunks_with`]: the
 //! engine compilation is shared read-only (`Arc<EngineProgram>`), each
 //! worker owns a private sliced simulator, and results merge in operand
 //! order — outcomes and latency reports are bit-identical to streaming
@@ -43,7 +43,6 @@
 //! ```
 
 use celllib::Library;
-use exec::Executor;
 use gatesim::{LatencyReport, Logic, OperandRun, ParallelEventSim};
 use tsetlin::ExcludeMasks;
 
@@ -82,20 +81,8 @@ impl<'a> EventDrivenInference<'a> {
     /// and prepares `threads` workers (clamped to at least 1).
     #[must_use]
     pub fn new(model: &'a BatchGoldenModel, library: &Library, threads: usize) -> Self {
-        Self::with_executor(model, library, Executor::new(threads))
-    }
-
-    /// Like [`EventDrivenInference::new`] with an explicit executor.
-    #[must_use]
-    pub fn with_executor(
-        model: &'a BatchGoldenModel,
-        library: &Library,
-        executor: Executor,
-    ) -> Self {
-        use std::sync::Arc;
-        let program = Arc::new(gatesim::EngineProgram::new(model.netlist(), library));
         Self {
-            sim: ParallelEventSim::from_program(program, executor),
+            sim: ParallelEventSim::new(model.netlist(), library, threads),
             config: *model.config(),
         }
     }

@@ -65,22 +65,10 @@ impl<'a> ParallelBatchInference<'a> {
     ///
     /// Propagates netlist errors (a generated model is always acyclic).
     pub fn new(model: &'a BatchGoldenModel, threads: usize) -> Result<Self, DatapathError> {
-        Self::with_executor(model, Executor::new(threads))
-    }
-
-    /// Like [`ParallelBatchInference::new`] with an explicit executor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates netlist errors.
-    pub fn with_executor(
-        model: &'a BatchGoldenModel,
-        executor: Executor,
-    ) -> Result<Self, DatapathError> {
         Ok(Self {
             evaluator: BatchEvaluator::new(model.netlist())?,
             config: *model.config(),
-            executor,
+            executor: Executor::new(threads),
         })
     }
 

@@ -1,4 +1,4 @@
-//! Std-only data-parallel runtime for the batch inference spine.
+//! Std-only data-parallel runtime for the inference engines.
 //!
 //! The container this workspace builds in has no network access, so the
 //! usual suspects (`rayon`, `crossbeam`) are off the table.  This crate
@@ -6,15 +6,13 @@
 //! `std::thread::scope`, [`std::thread::available_parallelism`] and a
 //! chunked work queue over a single [`AtomicUsize`]:
 //!
-//! * [`Executor::map_chunks`] / [`Executor::map_chunks_with`] — dynamic
-//!   load balancing: workers claim fixed-size chunks of a shared slice
-//!   with `fetch_add` and results are merged back **in input order**, so
-//!   output is deterministic and identical to a sequential run;
-//! * [`Executor::zip_shards`] — static contiguous sharding for work items
-//!   that carry per-item mutable state (each worker owns a contiguous
-//!   range of items *and* the matching range of states, so no state is
-//!   shared mid-pass — the low-communication partitioning of
-//!   Hadidi et al., arXiv:2003.06464);
+//! * [`Executor::map_chunks_with`] — the one sharding primitive: workers
+//!   claim fixed-size chunks of a shared slice with `fetch_add`, each
+//!   worker owns private scratch state built once by `init` (the
+//!   replicate-and-shard partitioning of Hadidi et al.,
+//!   arXiv:2003.06464: no state is shared mid-pass), and results are
+//!   merged back **in input order**, so output is deterministic and
+//!   identical to a sequential run;
 //! * [`with_service`] — a **long-lived service worker** over
 //!   [`std::sync::mpsc`] channels for open-ended job streams: one scoped
 //!   thread owns mutable (possibly borrowing) worker state for a whole
@@ -32,7 +30,7 @@
 //!
 //! let exec = Executor::new(4);
 //! let items: Vec<u64> = (0..1000).collect();
-//! let sums = exec.map_chunks(&items, 64, |_chunk_index, chunk| {
+//! let sums = exec.map_chunks_with(&items, 64, || (), |(), _chunk_index, chunk| {
 //!     chunk.iter().sum::<u64>()
 //! });
 //! assert_eq!(sums.iter().sum::<u64>(), 1000 * 999 / 2);
@@ -54,16 +52,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// The executor is cheap to construct (it holds only the thread count;
 /// workers are scoped to each call), `Send + Sync`, and deterministic:
-/// every method returns results in input order.
+/// every call returns results in input order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Executor {
     threads: usize,
-}
-
-impl Default for Executor {
-    fn default() -> Self {
-        Self::with_available_parallelism()
-    }
 }
 
 impl Executor {
@@ -76,13 +68,6 @@ impl Executor {
         }
     }
 
-    /// Creates an executor sized to [`std::thread::available_parallelism`]
-    /// (1 if the parallelism cannot be determined).
-    #[must_use]
-    pub fn with_available_parallelism() -> Self {
-        Self::new(available_parallelism())
-    }
-
     /// Number of worker threads this executor uses.
     #[must_use]
     pub fn threads(&self) -> usize {
@@ -92,12 +77,17 @@ impl Executor {
     /// Maps `f` over `items` in chunks of `chunk_size`, in parallel, and
     /// returns one result per chunk **in chunk order**.
     ///
-    /// Chunks are claimed dynamically from an atomic counter, so uneven
-    /// per-chunk cost still load-balances.  `f` receives the chunk index
-    /// and the chunk slice; the last chunk may be shorter.  Empty input
-    /// yields an empty result, and a `chunk_size` larger than the input
-    /// produces a single chunk that runs inline on the calling thread
-    /// (no workers are spawned when there is at most one chunk).
+    /// `init` runs once per worker to build its private scratch value,
+    /// which is then passed mutably to every chunk that worker claims —
+    /// the pattern for reusing a simulator instance, evaluator state or
+    /// buffers across chunks without sharing them between threads (pass
+    /// `|| ()` when there is none).  Chunks are claimed dynamically from
+    /// an atomic counter, so uneven per-chunk cost still load-balances.
+    /// `f` receives the scratch, the chunk index and the chunk slice;
+    /// the last chunk may be shorter.  Empty input yields an empty
+    /// result, and a `chunk_size` larger than the input produces a
+    /// single chunk that runs inline on the calling thread (no workers
+    /// are spawned when there is at most one chunk).
     ///
     /// # Example
     ///
@@ -107,7 +97,7 @@ impl Executor {
     /// let exec = Executor::new(3);
     /// let items: Vec<u32> = (0..10).collect();
     /// // Ragged tail: chunks are [0..4], [4..8], [8..10].
-    /// let sums = exec.map_chunks(&items, 4, |index, chunk| {
+    /// let sums = exec.map_chunks_with(&items, 4, || (), |(), index, chunk| {
     ///     (index, chunk.iter().sum::<u32>())
     /// });
     /// assert_eq!(sums, vec![(0, 6), (1, 22), (2, 17)]);
@@ -115,31 +105,12 @@ impl Executor {
     ///
     /// # Panics
     ///
-    /// Panics if `chunk_size` is zero, or if `f` panics on any chunk.  A
+    /// Panics if `chunk_size` is zero, or if `init` or `f` panics.  A
     /// worker panic aborts the whole call: with one worker (or one
     /// chunk) the original panic propagates unchanged; with several
     /// workers it resurfaces as a `"worker thread panicked"` panic when
     /// the scope joins.  Either way the call never returns partial
     /// results — this propagation contract is pinned by tests.
-    pub fn map_chunks<T, R, F>(&self, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        self.map_chunks_with(items, chunk_size, || (), |(), index, chunk| f(index, chunk))
-    }
-
-    /// Like [`Executor::map_chunks`], with per-worker scratch state.
-    ///
-    /// `init` runs once per worker to build its private scratch value,
-    /// which is then passed mutably to every chunk that worker claims —
-    /// the pattern for reusing evaluator state or buffers across chunks
-    /// without sharing them between threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size` is zero, or if `init` or `f` panics.
     pub fn map_chunks_with<T, S, R, I, F>(
         &self,
         items: &[T],
@@ -202,163 +173,6 @@ impl Executor {
             .map(|slot| slot.expect("every chunk claimed exactly once"))
             .collect()
     }
-
-    /// Runs `f` over `(item, state)` pairs with static contiguous
-    /// sharding: the pair lists are split into one contiguous range per
-    /// worker, so each worker exclusively owns its states for the whole
-    /// pass.  Results come back in input order.
-    ///
-    /// Use this instead of [`Executor::map_chunks_with`] when each work
-    /// item carries its *own* persistent state (e.g. per-group sequential
-    /// netlist state) that must be mutated in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items` and `states` have different lengths, or if `f`
-    /// panics (same propagation contract as [`Executor::map_chunks`]:
-    /// inline panics surface unchanged, worker panics as
-    /// `"worker thread panicked"`; never partial results).
-    pub fn zip_shards<T, S, R, F>(&self, items: &[T], states: &mut [S], f: F) -> Vec<R>
-    where
-        T: Sync,
-        S: Send,
-        R: Send,
-        F: Fn(usize, &T, &mut S) -> R + Sync,
-    {
-        self.zip_shards_with(
-            items,
-            states,
-            || (),
-            |(), index, item, state| f(index, item, state),
-        )
-    }
-
-    /// Like [`Executor::zip_shards`], with per-worker scratch state:
-    /// `init` runs once per worker and the scratch value is passed
-    /// mutably to every pair that worker processes, so buffers can be
-    /// reused across a whole shard without sharing them between threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items` and `states` have different lengths, or if
-    /// `init` or `f` panics.
-    pub fn zip_shards_with<T, S, W, R, I, F>(
-        &self,
-        items: &[T],
-        states: &mut [S],
-        init: I,
-        f: F,
-    ) -> Vec<R>
-    where
-        T: Sync,
-        S: Send,
-        R: Send,
-        I: Fn() -> W + Sync,
-        F: Fn(&mut W, usize, &T, &mut S) -> R + Sync,
-    {
-        assert_eq!(
-            items.len(),
-            states.len(),
-            "items and states must pair up one to one"
-        );
-        if self.threads == 1 || items.len() <= 1 {
-            let mut scratch = init();
-            return items
-                .iter()
-                .zip(states.iter_mut())
-                .enumerate()
-                .map(|(index, (item, state))| f(&mut scratch, index, item, state))
-                .collect();
-        }
-
-        let workers = self.threads.min(items.len());
-        let shard = items.len().div_ceil(workers);
-        let mut results: Vec<Vec<R>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(shard)
-                .zip(states.chunks_mut(shard))
-                .enumerate()
-                .map(|(shard_index, (item_range, state_range))| {
-                    let f = &f;
-                    let init = &init;
-                    scope.spawn(move || {
-                        let mut scratch = init();
-                        item_range
-                            .iter()
-                            .zip(state_range.iter_mut())
-                            .enumerate()
-                            .map(|(offset, (item, state))| {
-                                f(&mut scratch, shard_index * shard + offset, item, state)
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        });
-        results.iter_mut().flat_map(std::mem::take).collect()
-    }
-
-    /// Maps `map` over `items` in chunks (exactly as
-    /// [`Executor::map_chunks`]) and folds the per-chunk results into
-    /// `seed` **in chunk order** on the calling thread.
-    ///
-    /// This is the deterministic reduction primitive behind per-shard
-    /// telemetry: each worker produces a private partial aggregate
-    /// (e.g. a metrics snapshot) and the fold merges them in input
-    /// order, so the reduced value is bit-identical at any thread
-    /// count even when the combining operation is only associative,
-    /// not commutative.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use exec::Executor;
-    ///
-    /// let items: Vec<u32> = (0..100).collect();
-    /// let render = |threads| {
-    ///     Executor::new(threads).map_reduce_chunks(
-    ///         &items,
-    ///         7,
-    ///         |index, chunk| format!("{index}:{}", chunk.len()),
-    ///         String::new(),
-    ///         |mut acc, part| {
-    ///             acc.push_str(&part);
-    ///             acc.push(' ');
-    ///             acc
-    ///         },
-    ///     )
-    /// };
-    /// // String concatenation is not commutative, yet the reduction is
-    /// // thread-count invariant because the fold runs in chunk order.
-    /// assert_eq!(render(1), render(7));
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size` is zero, or if `map` panics (same
-    /// propagation contract as [`Executor::map_chunks`]).
-    pub fn map_reduce_chunks<T, R, A, F, G>(
-        &self,
-        items: &[T],
-        chunk_size: usize,
-        map: F,
-        seed: A,
-        fold: G,
-    ) -> A
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-        G: FnMut(A, R) -> A,
-    {
-        self.map_chunks(items, chunk_size, map)
-            .into_iter()
-            .fold(seed, fold)
-    }
 }
 
 /// [`std::thread::available_parallelism`] collapsed to a plain `usize`
@@ -374,11 +188,20 @@ pub fn available_parallelism() -> usize {
 mod tests {
     use super::*;
 
+    /// `map_chunks_with` without scratch state.
+    fn map_without_scratch<T: Sync, R: Send>(
+        exec: Executor,
+        items: &[T],
+        chunk_size: usize,
+        f: impl Fn(usize, &[T]) -> R + Sync,
+    ) -> Vec<R> {
+        exec.map_chunks_with(items, chunk_size, || (), |(), index, chunk| f(index, chunk))
+    }
+
     #[test]
     fn thread_count_is_clamped_to_one() {
         assert_eq!(Executor::new(0).threads(), 1);
         assert_eq!(Executor::new(3).threads(), 3);
-        assert!(Executor::with_available_parallelism().threads() >= 1);
         assert!(available_parallelism() >= 1);
     }
 
@@ -391,7 +214,7 @@ mod tests {
             .map(|(i, c)| i as u64 + c.iter().map(|&x| u64::from(x)).sum::<u64>())
             .collect();
         for threads in [1, 2, 7, 16] {
-            let got = Executor::new(threads).map_chunks(&items, 17, |i, c| {
+            let got = map_without_scratch(Executor::new(threads), &items, 17, |i, c| {
                 i as u64 + c.iter().map(|&x| u64::from(x)).sum::<u64>()
             });
             assert_eq!(got, expected, "threads = {threads}");
@@ -421,70 +244,16 @@ mod tests {
     #[test]
     fn map_chunks_handles_empty_and_ragged_input() {
         let empty: Vec<u8> = Vec::new();
-        assert!(Executor::new(4)
-            .map_chunks(&empty, 8, |_, c| c.len())
-            .is_empty());
+        assert!(map_without_scratch(Executor::new(4), &empty, 8, |_, c| c.len()).is_empty());
         let ragged: Vec<u8> = vec![0; 21];
-        let sizes = Executor::new(4).map_chunks(&ragged, 8, |_, c| c.len());
+        let sizes = map_without_scratch(Executor::new(4), &ragged, 8, |_, c| c.len());
         assert_eq!(sizes, vec![8, 8, 5]);
     }
 
     #[test]
     #[should_panic(expected = "chunk_size must be positive")]
     fn zero_chunk_size_panics() {
-        let _ = Executor::new(2).map_chunks(&[1, 2, 3], 0, |_, c: &[i32]| c.len());
-    }
-
-    #[test]
-    fn zip_shards_mutates_each_state_exactly_once_in_order() {
-        let items: Vec<u64> = (0..100).collect();
-        for threads in [1, 2, 7, 16] {
-            let mut states = vec![0u64; items.len()];
-            let results =
-                Executor::new(threads).zip_shards(&items, &mut states, |index, &item, state| {
-                    *state += item + 1;
-                    (index, item)
-                });
-            assert_eq!(
-                states,
-                (1..=100).collect::<Vec<u64>>(),
-                "threads = {threads}"
-            );
-            for (i, (index, item)) in results.iter().enumerate() {
-                assert_eq!(*index, i);
-                assert_eq!(*item, i as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn zip_shards_with_reuses_worker_scratch() {
-        let items: Vec<u32> = (0..40).collect();
-        let mut states = vec![0u32; items.len()];
-        let results = Executor::new(4).zip_shards_with(
-            &items,
-            &mut states,
-            Vec::<u32>::new,
-            |scratch, index, &item, state| {
-                scratch.push(item);
-                *state = item * 2;
-                (index, scratch.len())
-            },
-        );
-        assert_eq!(states, (0..40).map(|i| i * 2).collect::<Vec<u32>>());
-        // Scratch grows monotonically within each worker's shard.
-        for window in results.windows(2) {
-            let ((i0, _), (i1, len1)) = (window[0], window[1]);
-            assert_eq!(i1, i0 + 1);
-            assert!(len1 >= 1);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "pair up one to one")]
-    fn zip_shards_rejects_mismatched_lengths() {
-        let mut states = vec![0u8; 2];
-        let _ = Executor::new(2).zip_shards(&[1, 2, 3], &mut states, |_, _, _| ());
+        let _ = map_without_scratch(Executor::new(2), &[1, 2, 3], 0, |_, c: &[i32]| c.len());
     }
 
     #[test]
@@ -493,7 +262,7 @@ mod tests {
         // calling thread's id, pinning the inline fast path.
         let items: Vec<u16> = (0..5).collect();
         let caller = std::thread::current().id();
-        let results = Executor::new(8).map_chunks(&items, 1000, |index, chunk| {
+        let results = map_without_scratch(Executor::new(8), &items, 1000, |index, chunk| {
             (index, chunk.len(), std::thread::current().id())
         });
         assert_eq!(results.len(), 1);
@@ -507,13 +276,9 @@ mod tests {
         let empty: Vec<u8> = Vec::new();
         for threads in [1, 4] {
             let exec = Executor::new(threads);
-            assert!(exec.map_chunks(&empty, 8, |_, c| c.len()).is_empty());
+            assert!(map_without_scratch(exec, &empty, 8, |_, c| c.len()).is_empty());
             assert!(exec
                 .map_chunks_with(&empty, 8, || 0u32, |_, _, c| c.len())
-                .is_empty());
-            let mut states: Vec<u8> = Vec::new();
-            assert!(exec
-                .zip_shards(&empty, &mut states, |_, _, _| ())
                 .is_empty());
         }
     }
@@ -530,7 +295,7 @@ mod tests {
         };
         // Multi-threaded: the panic crosses the scope join.
         let result = std::panic::catch_unwind(|| {
-            Executor::new(2).map_chunks(&[1u8, 2, 3, 4], 1, |i, _| boom(i))
+            map_without_scratch(Executor::new(2), &[1u8, 2, 3, 4], 1, |i, _| boom(i))
         });
         let message = *result
             .expect_err("worker panic must propagate")
@@ -540,45 +305,12 @@ mod tests {
 
         // Inline (threads = 1): the original panic message survives.
         let result = std::panic::catch_unwind(|| {
-            Executor::new(1).map_chunks(&[1u8, 2, 3, 4], 1, |i, _| boom(i))
+            map_without_scratch(Executor::new(1), &[1u8, 2, 3, 4], 1, |i, _| boom(i))
         });
         let message = *result
             .expect_err("inline panic must propagate")
             .downcast::<&str>()
             .expect("assert! with a literal message panics with &str");
         assert_eq!(message, "boom");
-    }
-
-    #[test]
-    fn map_reduce_chunks_folds_in_chunk_order_at_any_thread_count() {
-        let items: Vec<u32> = (0..257).collect();
-        // Subtraction is neither commutative nor associative: only a
-        // strictly in-order fold gives the same answer at every thread
-        // count.
-        let reduce = |threads: usize| {
-            Executor::new(threads).map_reduce_chunks(
-                &items,
-                16,
-                |index, chunk| i64::from(chunk.iter().sum::<u32>()) + index as i64,
-                1_000_000i64,
-                |acc, part| acc - part,
-            )
-        };
-        let expected = reduce(1);
-        for threads in [2, 7, 16] {
-            assert_eq!(reduce(threads), expected, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn zip_shards_panics_propagate() {
-        let items: Vec<u8> = (0..8).collect();
-        let mut states = vec![0u8; 8];
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Executor::new(4).zip_shards(&items, &mut states, |index, _, _| {
-                assert!(index != 5, "shard boom");
-            })
-        }));
-        assert!(result.is_err(), "zip_shards must propagate worker panics");
     }
 }

@@ -1,8 +1,7 @@
 //! Long-lived service workers over std mpsc channels.
 //!
-//! [`Executor::map_chunks`](crate::Executor::map_chunks) and
-//! [`Executor::zip_shards`](crate::Executor::zip_shards) fan a *known*
-//! slice of work across short-lived scoped workers.  A serving runtime
+//! [`Executor::map_chunks_with`](crate::Executor::map_chunks_with) fans a
+//! *known* slice of work across short-lived scoped workers.  A serving runtime
 //! has the opposite shape: an **open-ended stream** of jobs produced one
 //! at a time (micro-batches flushed by a batcher), each of which must be
 //! handed to a single long-lived worker that owns mutable state (an

@@ -12,6 +12,10 @@
 //! insertion, static timing analysis and the event-driven simulator —
 //! operates on the [`Netlist`] type defined here.
 //!
+//! The evaluators ([`Evaluator`], and [`BatchEvaluator`] with 64 samples
+//! per pass) run on the calling thread; the inference runtimes shard
+//! whole passes across threads with the `exec` crate.
+//!
 //! # Example
 //!
 //! ```
@@ -40,7 +44,6 @@ pub mod eval;
 pub mod graph;
 pub mod ids;
 pub mod netlist;
-pub mod parallel;
 pub mod stats;
 
 pub use batch::{pack_lanes, unpack_lane, BatchEvaluator, BatchState, LANES};
@@ -50,5 +53,4 @@ pub use eval::{EvalState, Evaluator};
 pub use graph::{levelize, topological_order, TopoError};
 pub use ids::{CellId, NetId, PortId};
 pub use netlist::{Net, NetDriver, Netlist, Port, PortDirection};
-pub use parallel::ParallelBatchEvaluator;
 pub use stats::{CellHistogram, NetlistStats};

@@ -347,8 +347,8 @@ impl<'a> Simulator<'a> {
     ///
     /// This is the full state of a settled combinational netlist (and,
     /// together with C-element outputs, of a settled sequential one) —
-    /// the snapshot that reset-phase sharding contracts compare against;
-    /// see [`crate::ParallelEventSim::assume_reset_phase`].
+    /// the snapshot that the dual-rail drivers' reset-phase contract
+    /// compares against.
     #[must_use]
     pub fn net_values(&self) -> &[Logic] {
         &self.values

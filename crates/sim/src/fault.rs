@@ -193,8 +193,8 @@ impl fmt::Display for SettlePhase {
 /// Typed non-settle failure from the checked return-to-zero runners
 /// ([`crate::try_run_return_to_zero`],
 /// [`crate::try_run_word_return_to_zero`]).  Fault campaigns classify
-/// these as *timeout* (the watchdog) or *detected* (the contract),
-/// instead of crashing the process as the panicking runners do.
+/// these as *timeout* instead of crashing the process as the panicking
+/// runners do.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SettleError {
     /// The watchdog tripped — the event limit or time horizon was
@@ -203,12 +203,6 @@ pub enum SettleError {
     Watchdog {
         /// Which phase was running when the watchdog tripped.
         phase: SettlePhase,
-    },
-    /// The settled spacer state diverged from the reset-phase contract
-    /// snapshot (a fault left history in the circuit).
-    ResetContract {
-        /// Human-readable description of the first mismatching net.
-        description: String,
     },
 }
 
@@ -220,9 +214,6 @@ impl fmt::Display for SettleError {
                 "{phase} phase failed to settle \
                  (watchdog: event limit or time horizon reached before quiescence)"
             ),
-            SettleError::ResetContract { description } => {
-                write!(f, "reset-phase contract violated: {description}")
-            }
         }
     }
 }
@@ -357,11 +348,5 @@ mod tests {
         assert!(injection
             .to_string()
             .contains("injection phase failed to settle"));
-        let contract = SettleError::ResetContract {
-            description: "net n mismatch".into(),
-        };
-        assert!(contract
-            .to_string()
-            .contains("reset-phase contract violated"));
     }
 }

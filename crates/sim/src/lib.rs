@@ -32,9 +32,10 @@
 //! event counts bit-identical to streaming the operands through one
 //! scalar [`Simulator`] with [`run_return_to_zero`] (see the
 //! [`sliced`] module).  [`ParallelEventSim`] shards independent words
-//! across worker threads with bit-identical results and per-operand
-//! latency figures ([`LatencyReport`]) — the paper's figure of merit at
-//! bulk-workload scale.
+//! of a combinational netlist across worker threads
+//! ([`exec::Executor::map_chunks_with`]) with bit-identical results and
+//! per-operand latency figures ([`LatencyReport`]) — the paper's figure
+//! of merit at bulk-workload scale.
 //!
 //! [`ArrivalProgram`] settles one operand of a monotone (dual-rail)
 //! netlist without an event queue: one topological `(min, max, +)`
@@ -82,10 +83,8 @@ pub use arrival::{ArrivalCompileError, ArrivalProgram, ArrivalRun, ArrivalTie};
 pub use engine::{RunOutcome, Simulator, StepOutcome};
 pub use event::{Event, EventQueue, SimEvent};
 pub use fault::{FaultPlan, SettleError, SettlePhase, SeuPulse};
-pub use monitor::{LatencyReport, LatencyStats, PipelineReport, TransitionLog};
-pub use parallel::{
-    run_return_to_zero, try_run_return_to_zero, OperandRun, ParallelEventSim, ShardingContract,
-};
+pub use monitor::{LatencyReport, LatencyStats, PipelineReport};
+pub use parallel::{run_return_to_zero, try_run_return_to_zero, OperandRun, ParallelEventSim};
 pub use program::EngineProgram;
 pub use sliced::{
     lane_mask, run_word_return_to_zero, try_run_word_return_to_zero, SlicedSimulator,

@@ -1,4 +1,4 @@
-//! Measurement helpers: latency statistics and transition logs.
+//! Measurement helpers: latency statistics and reports.
 //!
 //! The paper reports *average* and *maximum* latency over a workload of
 //! operands (Table I) and studies the *distribution* of delays
@@ -6,8 +6,6 @@
 //! samples and produces those figures.
 
 use std::fmt;
-
-use netlist::NetId;
 
 /// Accumulates per-operand latency samples (in picoseconds) and reports
 /// summary statistics.
@@ -242,7 +240,7 @@ impl fmt::Display for LatencyStats {
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LatencyReport {
-    latencies_ps: Vec<f64>,
+    /// The per-operand samples, in operand order.
     stats: LatencyStats,
 }
 
@@ -255,31 +253,28 @@ impl LatencyReport {
     #[must_use]
     pub fn from_latencies(latencies_ps: Vec<f64>) -> Self {
         let mut stats = LatencyStats::new();
-        for &latency in &latencies_ps {
+        for latency in latencies_ps {
             stats.record(latency);
         }
-        Self {
-            latencies_ps,
-            stats,
-        }
+        Self { stats }
     }
 
     /// Per-operand latencies in picoseconds, in operand order.
     #[must_use]
     pub fn latencies_ps(&self) -> &[f64] {
-        &self.latencies_ps
+        self.stats.samples()
     }
 
     /// Number of operands covered.
     #[must_use]
     pub fn count(&self) -> usize {
-        self.latencies_ps.len()
+        self.stats.count()
     }
 
     /// Whether the report covers no operands.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.latencies_ps.is_empty()
+        self.stats.is_empty()
     }
 
     /// Fastest operand in picoseconds (0.0 if empty).
@@ -443,72 +438,6 @@ impl fmt::Display for PipelineReport {
     }
 }
 
-/// A chronological log of `(time, net, value-as-bool)` transitions,
-/// filtered to a set of watched nets.  Used by protocol checkers in the
-/// `dualrail` crate to verify monotonic switching.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TransitionLog {
-    entries: Vec<(f64, NetId, bool)>,
-}
-
-impl TransitionLog {
-    /// Creates an empty log.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a transition.
-    pub fn push(&mut self, time_ps: f64, net: NetId, value: bool) {
-        self.entries.push((time_ps, net, value));
-    }
-
-    /// All entries in chronological (insertion) order.
-    #[must_use]
-    pub fn entries(&self) -> &[(f64, NetId, bool)] {
-        &self.entries
-    }
-
-    /// Entries affecting one net.
-    #[must_use]
-    pub fn of_net(&self, net: NetId) -> Vec<(f64, bool)> {
-        self.entries
-            .iter()
-            .filter(|(_, n, _)| *n == net)
-            .map(|&(t, _, v)| (t, v))
-            .collect()
-    }
-
-    /// Whether every watched net changed value at most once (monotonic
-    /// switching during one spacer→valid or valid→spacer phase).
-    #[must_use]
-    pub fn is_monotonic(&self) -> bool {
-        use std::collections::HashMap;
-        let mut counts: HashMap<NetId, usize> = HashMap::new();
-        for (_, net, _) in &self.entries {
-            *counts.entry(*net).or_insert(0) += 1;
-        }
-        counts.values().all(|&c| c <= 1)
-    }
-
-    /// Number of logged transitions.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the log is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Clears the log.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -662,22 +591,6 @@ mod tests {
         assert_eq!(empty.median_ps(), 0.0);
         let text = report.to_string();
         assert!(text.contains("median=30.0"));
-    }
-
-    #[test]
-    fn transition_log_monotonicity() {
-        let n0 = NetId::from_index(0);
-        let n1 = NetId::from_index(1);
-        let mut log = TransitionLog::new();
-        log.push(1.0, n0, true);
-        log.push(2.0, n1, true);
-        assert!(log.is_monotonic());
-        log.push(3.0, n0, false);
-        assert!(!log.is_monotonic());
-        assert_eq!(log.of_net(n0), vec![(1.0, true), (3.0, false)]);
-        assert_eq!(log.len(), 3);
-        log.clear();
-        assert!(log.is_empty());
     }
 
     #[test]

@@ -12,16 +12,14 @@
 //! [`ParallelEventSim`] replicates only what replication must cost: the
 //! immutable compilation ([`crate::EngineProgram`] — CSR relations,
 //! truth tables, delay memos) is built once and shared through an `Arc`,
-//! and each worker owns a private instance.  The sharding unit is the
-//! 64-lane **word** ([`ParallelEventSim::run_operands_sliced`] on a
-//! [`SlicedSimulator`] per worker), plus the position-based **train**
-//! ([`ParallelEventSim::run_trains_with`] on a [`Simulator`] per worker)
-//! that wavefront-pipelined drivers need.  Units are claimed dynamically
-//! via [`exec::Executor::map_chunks_with`] and merged in input order, so
-//! the outputs *and* the per-operand latencies are bit-identical to a
-//! single streamed [`Simulator`] driven by [`run_return_to_zero`] — the
-//! reference the property tests compare against at threads {1, 2, 7}
-//! (`tests/property_tests.rs`).
+//! and each worker owns a private [`SlicedSimulator`].  The sharding
+//! unit is the 64-lane **word**
+//! ([`ParallelEventSim::run_operands_sliced`]): words are claimed
+//! dynamically via [`exec::Executor::map_chunks_with`] and merged in
+//! input order, so the outputs *and* the per-operand latencies are
+//! bit-identical to a single streamed [`Simulator`] driven by
+//! [`run_return_to_zero`] — the reference the property tests compare
+//! against at threads {1, 2, 7} (`tests/property_tests.rs`).
 //!
 //! # Determinism contract
 //!
@@ -32,26 +30,14 @@
 //!    netlist the settled spacer state is a pure function of the inputs,
 //!    so after the first spacer every instance sits in the same state no
 //!    matter which operands it processed before.  (State-holding cells
-//!    break this in general — [`ParallelEventSim::new`] rejects them.)
+//!    break this in general — [`ParallelEventSim::new`] rejects them.
+//!    Four-phase dual-rail circuits restore one quiescent state per
+//!    cycle instead; the `dualrail` crate's protocol drivers shard them
+//!    on the same executor and verify that contract after every cycle.)
 //! 2. **Per-operand time rebasing.**  The clock is zeroed before each
 //!    injection, so event timestamps — and the floating-point roundings
 //!    they go through — are identical for a given operand regardless of
 //!    its position in the stream.
-//!
-//! # The reset-phase contract for sequential netlists
-//!
-//! Dual-rail four-phase circuits are sequential (C-element input latches
-//! and completion trees), yet their protocol *restores* history
-//! independence: every cycle ends by returning all inputs to the spacer,
-//! and a C-element whose inputs all reach 0 resets to 0, so the settled
-//! post-reset state is one fixed quiescent state — not a function of
-//! operand history.  [`ParallelEventSim::assume_reset_phase`] admits
-//! sequential netlists on the strength of that argument, and **verifies
-//! it per word**: each worker snapshots its first settled spacer state
-//! and compares every later one against it on every live lane, panicking
-//! on the first mismatch instead of silently returning shard-dependent
-//! results.  Protocol-level drivers (the `dualrail` crate) perform the
-//! same check against a canonical snapshot shared by all workers.
 //!
 //! # Example
 //!
@@ -93,9 +79,7 @@ use crate::engine::Simulator;
 use crate::fault::{FaultPlan, SettleError, SettlePhase};
 use crate::monitor::LatencyReport;
 use crate::program::EngineProgram;
-use crate::sliced::{
-    run_word_return_to_zero_checked, try_run_word_return_to_zero_checked, SlicedSimulator,
-};
+use crate::sliced::{run_word_return_to_zero, try_run_word_return_to_zero, SlicedSimulator};
 use crate::Logic;
 
 /// The settled result of one return-to-zero operand cycle.
@@ -110,22 +94,6 @@ pub struct OperandRun {
     /// Events processed during the injection phase (spacer traffic is
     /// excluded).
     pub events: u64,
-}
-
-/// The history-independence argument a [`ParallelEventSim`] relies on to
-/// replay operands on replicated instances.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardingContract {
-    /// The netlist is combinational: its settled state is a pure
-    /// function of the inputs, so the all-zero spacer alone restores one
-    /// canonical state.  Enforced at construction.
-    Combinational,
-    /// The caller asserts that every return-to-zero cycle ends in one
-    /// fixed quiescent state even though the netlist holds state (e.g. a
-    /// four-phase dual-rail circuit whose C-elements all reset on the
-    /// spacer).  The runner verifies the assertion on every word by
-    /// comparing each settled spacer state against the first one.
-    ResetPhase,
 }
 
 /// Drives one return-to-zero operand cycle on `sim` and reports the
@@ -211,9 +179,9 @@ pub fn try_run_return_to_zero(
     })
 }
 
-/// Event-driven simulation sharded across words (and trains): one
-/// shared [`EngineProgram`], one private engine instance per worker,
-/// results merged in operand order.
+/// Event-driven simulation sharded across 64-lane words: one shared
+/// [`EngineProgram`], one private sliced instance per worker, results
+/// merged in operand order.
 ///
 /// See the [module documentation](self) for the determinism contract and
 /// an example.
@@ -221,7 +189,6 @@ pub fn try_run_return_to_zero(
 pub struct ParallelEventSim<'a> {
     program: Arc<EngineProgram<'a>>,
     executor: Executor,
-    contract: ShardingContract,
     /// Shared metrics registry plus name prefix; every worker's
     /// private engine attaches handles registered here, so shard
     /// flushes accumulate into one set of cells and the registry's
@@ -238,10 +205,7 @@ impl<'a> ParallelEventSim<'a> {
     ///
     /// Panics if the netlist contains sequential cells (flip-flops or
     /// C-elements): their settled state depends on operand history in
-    /// general, so sharding the stream would change results.  Designs
-    /// whose cycles provably reset that state (four-phase dual-rail
-    /// circuits) can instead assert the verified reset-phase contract
-    /// via [`ParallelEventSim::assume_reset_phase`].
+    /// general, so sharding the stream would change results.
     #[must_use]
     pub fn new(netlist: &'a Netlist, library: &Library, threads: usize) -> Self {
         Self::from_program(
@@ -262,36 +226,11 @@ impl<'a> ParallelEventSim<'a> {
         assert!(
             program.is_combinational(),
             "ParallelEventSim requires a combinational netlist: sequential state \
-             would make results depend on how operands are sharded \
-             (assert a reset-phase contract with `assume_reset_phase` if every \
-             cycle provably returns the circuit to one quiescent state)"
+             would make results depend on how operands are sharded"
         );
         Self {
             program,
             executor,
-            contract: ShardingContract::Combinational,
-            metrics: None,
-        }
-    }
-
-    /// Like [`ParallelEventSim::from_program`], but admits sequential
-    /// cells (C-elements, flip-flops) on the caller's assertion of the
-    /// **reset-phase history-independence contract**: every replayed
-    /// cycle returns the whole circuit to one fixed quiescent state, so
-    /// replicated instances start each operand identically.
-    ///
-    /// The assertion is not taken on faith: every worker verifies each
-    /// settled spacer state against the first one it observed and
-    /// panics on the first mismatch (see the
-    /// [module documentation](self)).  Higher-level protocol drivers
-    /// layer their own per-cycle check on top against a canonical
-    /// snapshot.
-    #[must_use]
-    pub fn assume_reset_phase(program: Arc<EngineProgram<'a>>, executor: Executor) -> Self {
-        Self {
-            program,
-            executor,
-            contract: ShardingContract::ResetPhase,
             metrics: None,
         }
     }
@@ -302,22 +241,15 @@ impl<'a> ParallelEventSim<'a> {
         self.executor.threads()
     }
 
-    /// The history-independence contract this runner operates under.
-    #[must_use]
-    pub fn contract(&self) -> ShardingContract {
-        self.contract
-    }
-
     /// The shared immutable program all workers evaluate.
     #[must_use]
     pub fn program(&self) -> &Arc<EngineProgram<'a>> {
         &self.program
     }
 
-    /// Instruments every future run: each worker's private engine
-    /// attaches [`tm_obs::SimMetrics`] handles registered in
-    /// `registry` under `"<prefix>.scalar.*"` (scalar train workers) or
-    /// `"<prefix>.sliced.*"` (64-wide word workers).  Because the engines
+    /// Instruments every future run: each worker's private sliced
+    /// engine attaches [`tm_obs::SimMetrics`] handles registered in
+    /// `registry` under `"<prefix>.sliced.*"`.  Because the engines
     /// flush per settle and the registry's merge is commutative, the
     /// registry snapshot after a run is **bit-identical at any thread
     /// count** — the sharded analogue of the latency bit-identity
@@ -331,95 +263,34 @@ impl<'a> ParallelEventSim<'a> {
         self.metrics = None;
     }
 
-    /// Handle set scalar train workers attach, if instrumented.
-    fn scalar_metrics(&self) -> Option<tm_obs::SimMetrics> {
-        self.metrics.as_ref().map(|(registry, prefix)| {
-            tm_obs::SimMetrics::register(registry, &format!("{prefix}.scalar"))
-        })
-    }
-
-    /// Handle set 64-wide sliced workers attach, if instrumented.
-    fn sliced_metrics(&self) -> Option<tm_obs::SimMetrics> {
-        self.metrics.as_ref().map(|(registry, prefix)| {
-            tm_obs::SimMetrics::register(registry, &format!("{prefix}.sliced"))
-        })
-    }
-
-    /// Shards per-**word** work across this runner's workers: items are
-    /// chunked into words of up to [`netlist::LANES`] entries, each
-    /// worker builds its private state once from a fresh
-    /// [`SlicedSimulator`] over the shared program (`init`), `step`
-    /// processes one whole word at a time (returning one result per
-    /// item, in item order), and the per-word result vectors are
-    /// flattened back **in item order** — the hook the sliced protocol
-    /// drivers build on.
-    pub fn run_words_with<T, W, R>(
+    /// Shards `operands` in words of up to [`netlist::LANES`] across the
+    /// workers: each worker builds one [`SlicedSimulator`] over the
+    /// shared program (metrics attached, then `configure`d), `step`
+    /// runs one whole word and returns one result per operand, and the
+    /// per-word results are flattened back in operand order.
+    fn run_words<R: Send>(
         &self,
-        items: &[T],
-        init: impl Fn(SlicedSimulator<'a>) -> W + Sync,
-        step: impl Fn(&mut W, &[T]) -> Vec<R> + Sync,
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-    {
-        let program = &self.program;
-        let metrics = self.sliced_metrics();
+        operands: &[Vec<bool>],
+        configure: impl Fn(&mut SlicedSimulator<'a>) + Sync,
+        step: impl Fn(&mut SlicedSimulator<'a>, &[Vec<bool>]) -> Vec<R> + Sync,
+    ) -> Vec<R> {
+        let metrics = self.metrics.as_ref().map(|(registry, prefix)| {
+            tm_obs::SimMetrics::register(registry, &format!("{prefix}.sliced"))
+        });
         let per_word = self.executor.map_chunks_with(
-            items,
+            operands,
             netlist::LANES,
             || {
-                let mut sim = SlicedSimulator::from_program(Arc::clone(program));
+                let mut sim = SlicedSimulator::from_program(Arc::clone(&self.program));
                 if let Some(handles) = metrics.clone() {
                     sim.attach_metrics_deferred(handles);
                 }
-                init(sim)
+                configure(&mut sim);
+                sim
             },
-            |worker, _, word| step(worker, word),
+            |sim, _, word| step(sim, word),
         );
         per_word.into_iter().flatten().collect()
-    }
-
-    /// Like [`ParallelEventSim::run_words_with`], but items are claimed
-    /// in fixed position-based **trains** of `train_len` items, each
-    /// worker's private state is built from a scalar [`Simulator`], and
-    /// `step` receives each whole train at once (returning one result
-    /// per item, in item order).  Wavefront-pipelined drivers build on
-    /// this: a train is the unit that shares in-flight circuit state, so
-    /// a train must be a pure function of its own operands for results
-    /// to stay bit-identical at any thread count — which position-based
-    /// chunking plus per-train time rebasing guarantees.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `train_len` is zero.
-    pub fn run_trains_with<T, W, R>(
-        &self,
-        items: &[T],
-        train_len: usize,
-        init: impl Fn(Simulator<'a>) -> W + Sync,
-        step: impl Fn(&mut W, &[T]) -> Vec<R> + Sync,
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-    {
-        assert!(train_len > 0, "train length must be at least 1");
-        let program = &self.program;
-        let metrics = self.scalar_metrics();
-        let per_train = self.executor.map_chunks_with(
-            items,
-            train_len,
-            || {
-                let mut sim = Simulator::from_program(Arc::clone(program));
-                if let Some(handles) = metrics.clone() {
-                    sim.attach_metrics_deferred(handles);
-                }
-                init(sim)
-            },
-            |worker, _, train| step(worker, train),
-        );
-        per_train.into_iter().flatten().collect()
     }
 
     /// Replays every operand through the 64-wide bit-sliced
@@ -436,22 +307,15 @@ impl<'a> ParallelEventSim<'a> {
     /// to settle (see [`crate::run_word_return_to_zero`]).
     #[must_use]
     pub fn run_operands_sliced(&self, operands: &[Vec<bool>]) -> Vec<OperandRun> {
-        let verify = self.contract == ShardingContract::ResetPhase;
-        self.run_words_with(
-            operands,
-            |sim| (sim, None::<Vec<Logic>>),
-            move |(sim, snapshot), word| {
-                run_word_return_to_zero_checked(sim, word, verify.then_some(&mut *snapshot))
-            },
-        )
+        self.run_words(operands, |_| {}, run_word_return_to_zero)
     }
 
     /// Like [`ParallelEventSim::run_operands_sliced`], but every worker
     /// installs `plan` (and the `horizon_ps` watchdog bound, when
     /// given) on its private sliced instance, and a word whose settle
-    /// trips the watchdog or breaks the reset-phase contract yields
-    /// that [`SettleError`] for **every operand in the word** (lanes
-    /// settle together, so a non-settle is a word-level outcome).
+    /// trips the watchdog yields that [`SettleError`] for **every
+    /// operand in the word** (lanes settle together, so a non-settle is
+    /// a word-level outcome).
     ///
     /// With an empty plan and no horizon this is bit-identical to
     /// [`ParallelEventSim::run_operands_sliced`] (property-tested).
@@ -462,21 +326,15 @@ impl<'a> ParallelEventSim<'a> {
         plan: &FaultPlan,
         horizon_ps: Option<f64>,
     ) -> Vec<Result<OperandRun, SettleError>> {
-        let verify = self.contract == ShardingContract::ResetPhase;
-        self.run_words_with(
+        self.run_words(
             operands,
-            |mut sim| {
+            |sim| {
                 if let Some(horizon) = horizon_ps {
                     sim.set_time_horizon_ps(horizon);
                 }
                 sim.set_fault_plan(plan);
-                (sim, None::<Vec<Logic>>)
             },
-            move |(sim, snapshot), word| match try_run_word_return_to_zero_checked(
-                sim,
-                word,
-                verify.then_some(&mut *snapshot),
-            ) {
+            |sim, word| match try_run_word_return_to_zero(sim, word) {
                 Ok(runs) => runs.into_iter().map(Ok).collect(),
                 Err(error) => word.iter().map(|_| Err(error.clone())).collect(),
             },
@@ -557,55 +415,6 @@ mod tests {
         nl.add_output("y", y);
         let library = lib();
         let _ = ParallelEventSim::new(&nl, &library, 2);
-    }
-
-    /// A C-element whose inputs all return to zero honours the
-    /// reset-phase contract: the spacer resets it, so sharding the
-    /// operand stream (70 operands = one full word + a 6-lane tail)
-    /// stays bit-identical to streaming it.
-    #[test]
-    fn reset_phase_contract_admits_self_resetting_sequential_netlists() {
-        use crate::program::EngineProgram;
-
-        let mut nl = Netlist::new("celem_rtz");
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let c = nl.add_cell("cel", CellKind::CElement2, &[a, b]).unwrap();
-        let y = nl.add_cell("buf", CellKind::Buf, &[c]).unwrap();
-        nl.add_output("y", y);
-        let library = lib();
-
-        let operands: Vec<Vec<bool>> = (0..70u32).map(|p| vec![p & 1 != 0, p & 2 != 0]).collect();
-        let expected = stream(&nl, &library, &operands);
-        for threads in [1, 2, 7] {
-            let program = Arc::new(EngineProgram::new(&nl, &library));
-            let sim = ParallelEventSim::assume_reset_phase(program, exec::Executor::new(threads));
-            assert_eq!(sim.contract(), ShardingContract::ResetPhase);
-            let runs = sim.run_operands_sliced(&operands);
-            assert_eq!(runs, expected, "threads = {threads}");
-        }
-    }
-
-    /// A C-element held by a tie-high input does *not* reset on the
-    /// spacer; the per-word verification catches the broken assertion
-    /// instead of silently returning history-dependent results.
-    #[test]
-    #[should_panic(expected = "reset-phase contract violated")]
-    fn reset_phase_contract_violations_fail_loudly() {
-        use crate::program::EngineProgram;
-
-        let mut nl = Netlist::new("celem_sticky");
-        let a = nl.add_input("a");
-        let hi = nl.add_cell("tie", CellKind::Tie1, &[]).unwrap();
-        let y = nl.add_cell("cel", CellKind::CElement2, &[a, hi]).unwrap();
-        nl.add_output("y", y);
-        let library = lib();
-        let program = Arc::new(EngineProgram::new(&nl, &library));
-        let sim = ParallelEventSim::assume_reset_phase(program, exec::Executor::new(1));
-        // The first word sets the C-element on every lane; the spacer
-        // before the second word can no longer reach the first
-        // spacer's state.
-        let _ = sim.run_operands_sliced(&vec![vec![true]; netlist::LANES + 1]);
     }
 
     #[test]

@@ -378,8 +378,8 @@ impl<'a> EngineProgram<'a> {
     ///
     /// Sequential programs can still be sharded across replicated
     /// instances when every replayed cycle provably returns the whole
-    /// circuit to one quiescent state — the reset-phase contract of
-    /// [`crate::ParallelEventSim::assume_reset_phase`].
+    /// circuit to one quiescent state — the reset-phase contract the
+    /// dual-rail protocol drivers verify after every cycle.
     #[must_use]
     pub fn sequential_cell_count(&self) -> usize {
         self.cell_kind

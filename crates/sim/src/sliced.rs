@@ -1370,7 +1370,7 @@ pub fn run_word_return_to_zero(
     sim: &mut SlicedSimulator<'_>,
     operands: &[Vec<bool>],
 ) -> Vec<OperandRun> {
-    run_word_return_to_zero_checked(sim, operands, None)
+    try_run_word_return_to_zero(sim, operands).unwrap_or_else(|error| panic!("{error}"))
 }
 
 /// Fallible form of [`run_word_return_to_zero`]: a word whose spacer or
@@ -1392,36 +1392,11 @@ pub fn try_run_word_return_to_zero(
     sim: &mut SlicedSimulator<'_>,
     operands: &[Vec<bool>],
 ) -> Result<Vec<OperandRun>, SettleError> {
-    try_run_word_return_to_zero_checked(sim, operands, None)
-}
-
-/// [`run_word_return_to_zero`] with the reset-phase contract check:
-/// after the spacer settles, every active lane's net state is compared
-/// against `*snapshot` (captured from lane 0 of the first spacer if
-/// still `None` — all lanes are identical there, having seen only
-/// uniform stimulus).
-///
-/// # Panics
-///
-/// Panics like [`run_word_return_to_zero`], and additionally if an
-/// active lane's settled spacer state diverges from the snapshot.
-pub(crate) fn run_word_return_to_zero_checked(
-    sim: &mut SlicedSimulator<'_>,
-    operands: &[Vec<bool>],
-    spacer_snapshot: Option<&mut Option<Vec<Logic>>>,
-) -> Vec<OperandRun> {
-    try_run_word_return_to_zero_checked(sim, operands, spacer_snapshot)
-        .unwrap_or_else(|error| panic!("{error}"))
-}
-
-/// Fallible core of the word runner: non-settles and reset-phase
-/// contract violations come back as typed [`SettleError`]s.
-pub(crate) fn try_run_word_return_to_zero_checked(
-    sim: &mut SlicedSimulator<'_>,
-    operands: &[Vec<bool>],
-    spacer_snapshot: Option<&mut Option<Vec<Logic>>>,
-) -> Result<Vec<OperandRun>, SettleError> {
-    let active = lane_mask(operands.len());
+    assert!(
+        operands.len() <= LANES,
+        "a word holds at most {LANES} lanes, got {}",
+        operands.len()
+    );
     if operands.is_empty() {
         return Ok(Vec::new());
     }
@@ -1450,31 +1425,6 @@ pub(crate) fn try_run_word_return_to_zero_checked(
         return Err(SettleError::Watchdog {
             phase: SettlePhase::Spacer,
         });
-    }
-    if let Some(snapshot) = spacer_snapshot {
-        match snapshot {
-            None => {
-                let nets = sim.planes.len();
-                *snapshot = Some(
-                    (0..nets)
-                        .map(|n| sim.value(NetId::from_index(n), 0))
-                        .collect(),
-                );
-            }
-            Some(expected) => {
-                if let Some((lane, net, expected, got)) = sim.lane_state_mismatch(expected, active)
-                {
-                    return Err(SettleError::ResetContract {
-                        description: format!(
-                            "net {net} settled to {got:?} \
-                             after the spacer but the quiescent snapshot holds {expected:?} \
-                             (lane {lane}) — the circuit's post-cycle state depends on \
-                             operand history, so sharding it would change results"
-                        ),
-                    });
-                }
-            }
-        }
     }
 
     // Injection phase from time zero.  Inactive lanes drive the spacer
@@ -1671,41 +1621,6 @@ mod tests {
         let mut runs = run_word_return_to_zero(&mut sim, &first);
         runs.extend(run_word_return_to_zero(&mut sim, &second));
         assert_eq!(runs, expected);
-    }
-
-    #[test]
-    fn c_element_words_honour_the_reset_phase_contract() {
-        let mut nl = Netlist::new("celem_rtz");
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let c = nl.add_cell("cel", CellKind::CElement2, &[a, b]).unwrap();
-        let y = nl.add_cell("buf", CellKind::Buf, &[c]).unwrap();
-        nl.add_output("y", y);
-        let library = lib();
-        let operands: Vec<Vec<bool>> = (0..13u32).map(|p| vec![p & 1 != 0, p & 2 != 0]).collect();
-        let expected = streamed(&nl, &library, &operands);
-        let mut sim = SlicedSimulator::new(&nl, &library);
-        let mut snapshot = None;
-        let runs = run_word_return_to_zero_checked(&mut sim, &operands, Some(&mut snapshot));
-        assert_eq!(runs, expected);
-        assert!(snapshot.is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "reset-phase contract violated")]
-    fn sticky_state_fails_the_contract_loudly() {
-        // A C-element held by a tie-high input cannot reset; the word
-        // after the poisoning word must fail the snapshot check.
-        let mut nl = Netlist::new("celem_sticky");
-        let a = nl.add_input("a");
-        let hi = nl.add_cell("tie", CellKind::Tie1, &[]).unwrap();
-        let y = nl.add_cell("cel", CellKind::CElement2, &[a, hi]).unwrap();
-        nl.add_output("y", y);
-        let library = lib();
-        let mut sim = SlicedSimulator::new(&nl, &library);
-        let mut snapshot = None;
-        let _ = run_word_return_to_zero_checked(&mut sim, &[vec![true]], Some(&mut snapshot));
-        let _ = run_word_return_to_zero_checked(&mut sim, &[vec![false]], Some(&mut snapshot));
     }
 
     /// Lane 0 of every net: the state all lanes share after uniform

@@ -17,8 +17,9 @@ use tm_async::dualrail::{Occupancy, PipelineConfig};
 use tm_async::obs::MetricsRegistry;
 
 proptest! {
-    // Every case runs three engine entry points twice (with and without
-    // instruments) at three thread counts, so keep the case count low.
+    // Every case runs three engine entry points three times (without,
+    // with and after clearing instruments) at three thread counts, so
+    // keep the case count low.
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Attaching metrics changes nothing: for the sliced event-driven
@@ -26,7 +27,8 @@ proptest! {
     /// run — outcomes, latency reports, event totals — is bit-identical
     /// to the uninstrumented run at thread counts {1, 2, 7}, and the
     /// populated registry snapshots compare equal across those thread
-    /// counts.
+    /// counts.  Clearing the metrics afterwards restores the
+    /// uninstrumented runs and leaves the registry untouched.
     #[test]
     fn metrics_are_invisible_and_snapshots_are_thread_invariant(
         seed in 0u64..10_000,
@@ -85,6 +87,29 @@ proptest! {
             prop_assert!(snapshot.counter("event.sliced.events_popped") > 0);
             prop_assert!(snapshot.counter("dualrail.sliced.protocol.cycles") > 0);
             prop_assert!(snapshot.counter("dualrail.scalar.protocol.cycles") > 0);
+
+            // Attach-then-clear: the same engines run as if never
+            // instrumented and record nothing more.
+            event.clear_metrics();
+            dual.clear_metrics();
+            prop_assert_eq!(
+                &event.run_workload_sliced(&workload).expect("sliced event run"),
+                &expected_event_sliced,
+                "cleared sliced event threads {}", threads
+            );
+            prop_assert_eq!(
+                &dual.run_workload_sliced(&workload).expect("sliced dual-rail run"),
+                &expected_dual_sliced,
+                "cleared sliced dual-rail threads {}", threads
+            );
+            prop_assert_eq!(
+                &dual
+                    .run_workload_pipelined(&workload, pipeline)
+                    .expect("pipelined dual-rail run"),
+                &expected_pipelined,
+                "cleared pipelined dual-rail threads {}", threads
+            );
+            prop_assert_eq!(&registry.snapshot(), &snapshot, "cleared threads {}", threads);
             snapshots.push(snapshot);
         }
         prop_assert_eq!(&snapshots[0], &snapshots[1], "threads 1 vs 2");
