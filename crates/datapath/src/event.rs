@@ -203,15 +203,22 @@ pub fn operand_bit_vectors<V: AsRef<[bool]>>(
 /// `greater`, then the two 4-bit vote counts, LSB first) into an
 /// [`InferenceOutcome`].
 ///
-/// Any X output and any non-one-hot comparator pattern is a
-/// [`DatapathError::DecodeFailure`] — on a healthy circuit neither can
-/// occur, so a decode failure on a faulted run counts as the datapath
-/// *detecting* the fault.  Public for harnesses that run the event
-/// engines directly (e.g. the fault-injection campaign).
+/// Any X output, a run shorter than that layout and any non-one-hot
+/// comparator pattern is a [`DatapathError::DecodeFailure`] — on a
+/// healthy circuit none can occur, so a decode failure on a faulted run
+/// counts as the datapath *detecting* the fault.  Public for harnesses
+/// that run the event engines directly (e.g. the fault-injection
+/// campaign).
 pub fn decode_operand_run(
     run: &OperandRun,
     operand: usize,
 ) -> Result<InferenceOutcome, DatapathError> {
+    if run.outputs.len() < 11 {
+        return Err(DatapathError::DecodeFailure(format!(
+            "operand {operand}: run produced {} outputs, expected 11 (3 comparator + 2×4 votes)",
+            run.outputs.len()
+        )));
+    }
     let bit = |value: Logic, what: &str| -> Result<bool, DatapathError> {
         value.to_option().ok_or_else(|| {
             DatapathError::DecodeFailure(format!("operand {operand}: {what} settled to X"))
@@ -241,8 +248,11 @@ pub fn decode_operand_run(
         };
     let positive_votes = decode_count(3..7, "positive vote count")?;
     let negative_votes = decode_count(7..11, "negative vote count")?;
-    let decision = ComparatorDecision::from_index(index)
-        .expect("index comes from a three-element enumeration");
+    let decision = ComparatorDecision::from_index(index).ok_or_else(|| {
+        DatapathError::DecodeFailure(format!(
+            "operand {operand}: comparator index {index} has no decision"
+        ))
+    })?;
     Ok(InferenceOutcome {
         positive_votes,
         negative_votes,
@@ -368,6 +378,16 @@ mod tests {
             events: 1,
         };
         assert!(decode_operand_run(&run, 0).is_err());
+
+        // A run shorter than the declared output layout fails the decode
+        // instead of indexing past its end.
+        let run = OperandRun {
+            outputs: vec![Logic::One, Logic::Zero, Logic::Zero],
+            latency_ps: 1.0,
+            events: 1,
+        };
+        let err = decode_operand_run(&run, 0).unwrap_err();
+        assert!(matches!(err, DatapathError::DecodeFailure(_)));
     }
 
     #[test]

@@ -4,20 +4,15 @@
 //! usual suspects (`rayon`, `crossbeam`) are off the table.  This crate
 //! provides the small slice of them the workspace needs, built purely on
 //! `std::thread::scope`, [`std::thread::available_parallelism`] and a
-//! chunked work queue over a single [`AtomicUsize`]:
+//! chunked work queue over a single [`AtomicUsize`].
 //!
-//! * [`Executor::map_chunks_with`] — the one sharding primitive: workers
-//!   claim fixed-size chunks of a shared slice with `fetch_add`, each
-//!   worker owns private scratch state built once by `init` (the
-//!   replicate-and-shard partitioning of Hadidi et al.,
-//!   arXiv:2003.06464: no state is shared mid-pass), and results are
-//!   merged back **in input order**, so output is deterministic and
-//!   identical to a sequential run;
-//! * [`with_service`] — a **long-lived service worker** over
-//!   [`std::sync::mpsc`] channels for open-ended job streams: one scoped
-//!   thread owns mutable (possibly borrowing) worker state for a whole
-//!   session and answers jobs in FIFO order — the primitive behind the
-//!   `tm-serve` micro-batching runtime's backend thread.
+//! [`Executor::map_chunks_with`] is the one sharding primitive: workers
+//! claim fixed-size chunks of a shared slice with `fetch_add`, each
+//! worker owns private scratch state built once by `init` (the
+//! replicate-and-shard partitioning of Hadidi et al., arXiv:2003.06464:
+//! no state is shared mid-pass), and results are merged back **in input
+//! order**, so output is deterministic and identical to a sequential
+//! run.
 //!
 //! A one-thread executor runs entirely inline (no threads spawned), which
 //! keeps `threads = 1` bit-identical *and* allocation-comparable to a
@@ -40,10 +35,6 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-
-pub mod service;
-
-pub use service::{with_service, ServiceClient};
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};

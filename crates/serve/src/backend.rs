@@ -1,4 +1,4 @@
-//! The pluggable inference backend behind the service worker.
+//! The pluggable inference backend the server calls once per batch.
 //!
 //! A [`Backend`] turns one micro-batch of borrowed feature slices into
 //! one [`InferenceOutcome`] per request, in request order.  The trait is

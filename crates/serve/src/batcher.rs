@@ -6,7 +6,7 @@
 //! timestamps, when the next micro-batch leaves it:
 //!
 //! * **lanes-full flush** — as soon as `fill_threshold()` requests are
-//!   pending *and* the service worker is free, a batch of up to
+//!   pending *and* the server is free, a batch of up to
 //!   `max_batch` departs.  The threshold is
 //!   `min(max_batch, max(capacity, 1))`: a queue that cannot grow any
 //!   further (`capacity < max_batch`) flushes as soon as the server is
@@ -116,7 +116,7 @@ impl MicroBatcher {
     }
 
     /// Whether a request arriving at `now_ns` may enter the queue while
-    /// the service worker frees at `server_free_ns`.
+    /// the server frees at `server_free_ns`.
     ///
     /// A free slot always admits.  A zero-capacity queue additionally
     /// admits the "queue empty and server idle" case: the request never
@@ -143,8 +143,8 @@ impl MicroBatcher {
         self.pending.push_back(request);
     }
 
-    /// The virtual time of the next flush given the service worker
-    /// frees at `server_free_ns`, or `None` while nothing is pending.
+    /// The virtual time of the next flush given the server frees at
+    /// `server_free_ns`, or `None` while nothing is pending.
     ///
     /// With at least [`MicroBatcher::fill_threshold`] requests pending
     /// the flush happens the moment both the threshold-filling request

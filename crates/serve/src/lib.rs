@@ -9,9 +9,8 @@
 //! clock, a dynamic micro-batcher coalesces them (flush when 64 lanes
 //! fill **or** a max-wait deadline expires, amortising the batch path
 //! without unbounded queueing delay), admission control bounds the
-//! queue (block or shed, sheds counted), and one long-lived service
-//! worker thread ([`exec::with_service`]) runs the pluggable
-//! [`Backend`].
+//! queue (block or shed, sheds counted), and the event loop calls the
+//! pluggable [`Backend`] inline, on its own thread, once per batch.
 //! Telemetry splits every request's **queueing delay** from its
 //! **service time** and reports p50/p95/p99 as exact order statistics
 //! ([`gatesim::LatencyReport::percentile`]) — the queueing-system

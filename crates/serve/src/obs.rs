@@ -11,9 +11,8 @@
 //! **byte-identical run to run** — trace files diff cleanly across
 //! commits.
 //!
-//! The recorder is passed to [`crate::Server::run_traced`] /
-//! [`crate::Server::run_closed_traced`]; the plain entry points carry
-//! no tracing state and pay no tracing cost.
+//! The recorder is passed to [`crate::Server::run_traced`]; the plain
+//! entry points carry no tracing state and pay no tracing cost.
 //!
 //! ```
 //! use tm_obs::json_is_well_formed;

@@ -1,5 +1,5 @@
-//! The serving runtime: virtual-clock event loop + long-lived service
-//! worker.
+//! The serving runtime: a virtual-clock event loop that calls its
+//! backend inline.
 //!
 //! [`Server::run`] replays an arrival [`Trace`] against a [`Backend`]:
 //!
@@ -7,9 +7,9 @@
 //!    blocked — [`AdmissionPolicy`]);
 //! 2. the [`MicroBatcher`] flushes a micro-batch whenever 64 lanes fill
 //!    or the oldest request's `max_wait_ns` deadline expires;
-//! 3. each batch is handed over std mpsc channels to **one long-lived
-//!    service worker thread** ([`exec::with_service`]) owning the
-//!    backend for the whole session;
+//! 3. each batch goes straight to [`Backend::serve`] on the thread that
+//!    runs the server — the loop waits for every answer anyway, so a
+//!    worker thread would only add hand-offs;
 //! 4. the batch's service time (measured wall-clock, or a fixed
 //!    [`ServiceModel`] for deterministic tests) advances the virtual
 //!    server-free time, and per-request queueing/service components land
@@ -40,14 +40,13 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use datapath::{InferenceOutcome, InferenceWorkload};
-use exec::ServiceClient;
+use datapath::InferenceWorkload;
 
 use crate::backend::Backend;
 use crate::batcher::{AdmissionPolicy, MicroBatcher, PendingRequest};
 use crate::error::ServeError;
 use crate::obs::TraceRecorder;
-use crate::telemetry::{BackendFaultStats, BatchRecord, ServeReport, ServedRecord, ShedRecord};
+use crate::telemetry::{BatchRecord, ServeReport, ServedRecord, ShedRecord};
 use crate::trace::{Trace, VirtualNs};
 
 /// Where a batch's virtual service time comes from.
@@ -170,10 +169,7 @@ impl<'w, B: Backend> Server<'w, B> {
     ///
     /// Propagates backend failures and fails on any served outcome that
     /// diverges from its golden outcome.
-    pub fn run(&mut self, trace: &Trace) -> Result<ServeReport, ServeError>
-    where
-        B: Send,
-    {
+    pub fn run(&mut self, trace: &Trace) -> Result<ServeReport, ServeError> {
         let offered_qps = trace.offered_qps();
         let source = OpenSource {
             arrivals: trace.arrivals(),
@@ -195,10 +191,7 @@ impl<'w, B: Backend> Server<'w, B> {
         &mut self,
         trace: &Trace,
         recorder: &mut TraceRecorder,
-    ) -> Result<ServeReport, ServeError>
-    where
-        B: Send,
-    {
+    ) -> Result<ServeReport, ServeError> {
         let offered_qps = trace.offered_qps();
         let source = OpenSource {
             arrivals: trace.arrivals(),
@@ -222,10 +215,7 @@ impl<'w, B: Backend> Server<'w, B> {
         clients: usize,
         requests: usize,
         think_ns: u64,
-    ) -> Result<ServeReport, ServeError>
-    where
-        B: Send,
-    {
+    ) -> Result<ServeReport, ServeError> {
         if clients == 0 {
             return Err(ServeError::InvalidConfig {
                 name: "clients",
@@ -244,127 +234,45 @@ impl<'w, B: Backend> Server<'w, B> {
         self.run_session(source, 0.0, None)
     }
 
-    /// Like [`Server::run_closed`] with lifecycle tracing (see
-    /// [`Server::run_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Server::run_closed`].
-    pub fn run_closed_traced(
-        &mut self,
-        clients: usize,
-        requests: usize,
-        think_ns: u64,
-        recorder: &mut TraceRecorder,
-    ) -> Result<ServeReport, ServeError>
-    where
-        B: Send,
-    {
-        if clients == 0 {
-            return Err(ServeError::InvalidConfig {
-                name: "clients",
-                reason: "closed-loop load needs at least one client".into(),
-            });
-        }
-        let mut ready = BinaryHeap::new();
-        for client in 0..clients.min(requests) {
-            ready.push(Reverse((0u64, client as u32)));
-        }
-        let source = ClosedSource {
-            ready,
-            to_issue: requests,
-            think_ns,
-        };
-        self.run_session(source, 0.0, Some(recorder))
-    }
-
-    /// The shared event loop: spawns the long-lived service worker and
-    /// drives arrivals + flushes in virtual-time order.
+    /// The shared event loop: drives arrivals + flushes in virtual-time
+    /// order, calling the backend inline at each flush.
     fn run_session<S: ArrivalSource>(
         &mut self,
         source: S,
         offered_qps: f64,
         tracer: Option<&mut TraceRecorder>,
-    ) -> Result<ServeReport, ServeError>
-    where
-        B: Send,
-    {
+    ) -> Result<ServeReport, ServeError> {
         let lanes = self.config.max_batch.min(self.backend.max_batch()).max(1);
-        let batcher = MicroBatcher::new(self.config.queue_capacity, lanes, self.config.max_wait_ns);
-        let workload = self.workload;
-        let backend = &mut self.backend;
-        let policy = self.config.policy;
-        let model = self.config.service_model;
-        let deadline_ns = self.config.deadline_ns;
-        // Per-batch fault counters travel back only when someone is
-        // listening — breaker transitions are trace events, and reading
-        // them per batch would otherwise be wasted work.
-        let report_faults = tracer.is_some();
-
-        let mut report = exec::with_service(
-            // The long-lived worker: owns the backend for the session,
-            // answers one micro-batch per job, reports measured wall ns.
-            move |batch: Vec<PendingRequest>| {
-                let features: Vec<&[bool]> = batch
-                    .iter()
-                    .map(|p| workload.sample(p.sample).features)
-                    .collect();
-                let start = Instant::now();
-                let result = backend.serve(&features);
-                let measured_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                let faults = if report_faults {
-                    backend.fault_stats()
-                } else {
-                    None
-                };
-                (batch, result, measured_ns, faults)
-            },
-            move |client| {
-                let mut session = Session {
-                    batcher,
-                    source,
-                    policy,
-                    model,
-                    deadline_ns,
-                    workload,
-                    next_id: 0,
-                    t_free: 0,
-                    admit_frontier: 0,
-                    makespan: 0,
-                    served: Vec::new(),
-                    shed: Vec::new(),
-                    deadline_expired: Vec::new(),
-                    batches: Vec::new(),
-                    tracer,
-                };
-                session.drive(client)?;
-                Ok::<_, ServeError>(ServeReport {
-                    served: session.served,
-                    shed: session.shed,
-                    deadline_expired: session.deadline_expired,
-                    batches: session.batches,
-                    makespan_ns: session.makespan,
-                    offered_qps,
-                    backend_faults: None,
-                })
-            },
-        )?;
-        // The worker's mutable borrow of the backend ends with the
-        // session; read the wrapper's fault counters (if any) now.
-        report.backend_faults = self.backend.fault_stats();
-        Ok(report)
+        let mut session = Session {
+            batcher: MicroBatcher::new(self.config.queue_capacity, lanes, self.config.max_wait_ns),
+            source,
+            backend: &mut self.backend,
+            policy: self.config.policy,
+            model: self.config.service_model,
+            deadline_ns: self.config.deadline_ns,
+            workload: self.workload,
+            next_id: 0,
+            t_free: 0,
+            admit_frontier: 0,
+            makespan: 0,
+            served: Vec::new(),
+            shed: Vec::new(),
+            deadline_expired: Vec::new(),
+            batches: Vec::new(),
+            tracer,
+        };
+        session.drive()?;
+        Ok(ServeReport {
+            served: session.served,
+            shed: session.shed,
+            deadline_expired: session.deadline_expired,
+            batches: session.batches,
+            makespan_ns: session.makespan,
+            offered_qps,
+            backend_faults: self.backend.fault_stats(),
+        })
     }
 }
-
-/// The worker's response: the batch it carried, the outcomes, the
-/// measured wall-clock nanoseconds, and (on traced runs only) the
-/// backend's fault counters after this batch.
-type ServiceResponse = (
-    Vec<PendingRequest>,
-    Result<Vec<InferenceOutcome>, ServeError>,
-    u64,
-    Option<BackendFaultStats>,
-);
 
 /// Where arrivals come from: a fixed open-loop trace or closed-loop
 /// clients reacting to completions.
@@ -443,9 +351,10 @@ impl ArrivalSource for ClosedSource {
 }
 
 /// Mutable state of one serving session.
-struct Session<'w, 't, S> {
+struct Session<'w, 's, S, B> {
     batcher: MicroBatcher,
     source: S,
+    backend: &'s mut B,
     policy: AdmissionPolicy,
     model: ServiceModel,
     deadline_ns: Option<u64>,
@@ -465,31 +374,25 @@ struct Session<'w, 't, S> {
     batches: Vec<BatchRecord>,
     /// Lifecycle recorder for traced runs; `None` keeps the loop free
     /// of tracing work.
-    tracer: Option<&'t mut TraceRecorder>,
+    tracer: Option<&'s mut TraceRecorder>,
 }
 
-impl<S: ArrivalSource> Session<'_, '_, S> {
-    fn drive(
-        &mut self,
-        client: &mut ServiceClient<Vec<PendingRequest>, ServiceResponse>,
-    ) -> Result<(), ServeError> {
+impl<S: ArrivalSource, B: Backend> Session<'_, '_, S, B> {
+    fn drive(&mut self) -> Result<(), ServeError> {
         loop {
             let next_arrival = self.source.peek();
             let next_flush = self.batcher.next_flush_ns(self.t_free);
             match (next_flush, next_arrival) {
                 (None, None) => break,
-                (Some(f), None) => self.flush(f, client)?,
-                (Some(f), Some(a)) if f <= a => self.flush(f, client)?,
-                (_, Some(_)) => self.handle_arrival(client)?,
+                (Some(f), None) => self.flush(f)?,
+                (Some(f), Some(a)) if f <= a => self.flush(f)?,
+                (_, Some(_)) => self.handle_arrival()?,
             }
         }
         Ok(())
     }
 
-    fn handle_arrival(
-        &mut self,
-        client: &mut ServiceClient<Vec<PendingRequest>, ServiceResponse>,
-    ) -> Result<(), ServeError> {
+    fn handle_arrival(&mut self) -> Result<(), ServeError> {
         let Some((arrival_ns, client_id)) = self.source.next_arrival() else {
             return Err(ServeError::SchedulerInvariant {
                 what: "arrival source announced an arrival via peek() but could not deliver it",
@@ -538,7 +441,7 @@ impl<S: ArrivalSource> Session<'_, '_, S> {
                 let mut admit_ns = admit_ns;
                 while !self.batcher.can_admit(admit_ns, self.t_free) {
                     if let Some(f) = self.batcher.next_flush_ns(self.t_free) {
-                        self.flush(f, client)?;
+                        self.flush(f)?;
                         admit_ns = admit_ns.max(f);
                     } else {
                         // Zero-capacity queue: the only slot is "server
@@ -562,14 +465,10 @@ impl<S: ArrivalSource> Session<'_, '_, S> {
     }
 
     /// Dispatches the next micro-batch at virtual time `flush_ns`:
-    /// sends it to the service worker, folds the (measured or modelled)
+    /// serves it on the backend, folds the (measured or modelled)
     /// service time back into the virtual clock, verifies outcomes and
     /// records telemetry.
-    fn flush(
-        &mut self,
-        flush_ns: VirtualNs,
-        client: &mut ServiceClient<Vec<PendingRequest>, ServiceResponse>,
-    ) -> Result<(), ServeError> {
+    fn flush(&mut self, flush_ns: VirtualNs) -> Result<(), ServeError> {
         let mut batch = self.batcher.take_batch();
         if let Some(deadline) = self.deadline_ns {
             // Requests whose deadline passed while they queued are shed
@@ -597,7 +496,13 @@ impl<S: ArrivalSource> Session<'_, '_, S> {
             }
         }
         let size = batch.len();
-        let (batch, result, measured_ns, faults) = client.call(batch);
+        let features: Vec<&[bool]> = batch
+            .iter()
+            .map(|p| self.workload.sample(p.sample).features)
+            .collect();
+        let start = Instant::now();
+        let result = self.backend.serve(&features);
+        let measured_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let outcomes = result?;
         if outcomes.len() != size {
             return Err(ServeError::BatchShapeMismatch {
@@ -627,7 +532,7 @@ impl<S: ArrivalSource> Session<'_, '_, S> {
         if let Some(tracer) = self.tracer.as_deref_mut() {
             tracer.batch(batch_index, flush_ns, size, service_ns);
             tracer.queue_depth(flush_ns, self.batcher.len());
-            if let Some(stats) = faults {
+            if let Some(stats) = self.backend.fault_stats() {
                 tracer.breaker_state(completion_ns, stats.breaker_open);
             }
         }
@@ -670,7 +575,10 @@ impl<S: ArrivalSource> Session<'_, '_, S> {
 mod tests {
     use super::*;
     use crate::backend::BatchBackend;
-    use datapath::{BatchGoldenModel, DatapathConfig};
+    use datapath::{BatchGoldenModel, DatapathConfig, InferenceOutcome};
+    use std::cell::Cell;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::rc::Rc;
 
     fn fixture() -> (DatapathConfig, BatchGoldenModel, InferenceWorkload) {
         let config = DatapathConfig::new(6, 4).unwrap();
@@ -740,6 +648,53 @@ mod tests {
         assert_eq!(first, second);
         let threaded = run(3);
         assert_eq!(first, threaded);
+    }
+
+    /// Counts its calls through an `Rc`, so it is not `Send`, and
+    /// panics on call number `panic_on`.
+    struct CountingBackend<'a> {
+        inner: BatchBackend<'a>,
+        calls: Rc<Cell<usize>>,
+        panic_on: usize,
+    }
+
+    impl Backend for CountingBackend<'_> {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn serve(&mut self, features: &[&[bool]]) -> Result<Vec<InferenceOutcome>, ServeError> {
+            let call = self.calls.get() + 1;
+            self.calls.set(call);
+            if call == self.panic_on {
+                panic!("backend call {call} failed");
+            }
+            self.inner.serve(features)
+        }
+    }
+
+    #[test]
+    fn the_backend_runs_on_the_calling_thread() {
+        let (_, model, workload) = fixture();
+        let calls = Rc::new(Cell::new(0));
+        let backend = CountingBackend {
+            inner: BatchBackend::new(&model, workload.masks().clone()).unwrap(),
+            calls: Rc::clone(&calls),
+            panic_on: 0,
+        };
+        let mut server = Server::new(backend, &workload, fixed_config()).unwrap();
+        // Backend state persists across batches and sessions.
+        let first = server.run(&Trace::uniform(200, 500_000.0)).unwrap();
+        let second = server.run(&Trace::poisson(300, 2e6, 9)).unwrap();
+        assert_eq!(calls.get(), first.batches.len() + second.batches.len());
+        // A backend panic unwinds out of the run with its own message.
+        server.backend.panic_on = calls.get() + 2;
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            server.run(&Trace::uniform(200, 500_000.0))
+        }))
+        .unwrap_err();
+        let expected = format!("backend call {} failed", calls.get());
+        assert_eq!(payload.downcast_ref::<String>(), Some(&expected));
     }
 
     #[test]
