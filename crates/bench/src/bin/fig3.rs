@@ -19,4 +19,8 @@ fn main() {
         "\nlatency dynamic range across the sweep: {:.0}x",
         fig.dynamic_range()
     );
+    if !fig.points.iter().all(|point| point.functional) {
+        eprintln!("error: Figure 3: a simulated inference did not match the golden model");
+        std::process::exit(1);
+    }
 }

@@ -21,4 +21,8 @@ fn main() {
             println!("{kind}: dual-rail average latency is {speedup:.1}x lower than the synchronous clock period");
         }
     }
+    if !table.all_correct {
+        eprintln!("error: Table I: a simulated inference did not match the golden model");
+        std::process::exit(1);
+    }
 }

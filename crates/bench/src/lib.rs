@@ -27,7 +27,8 @@
 //! The bins parse their arguments strictly ([`args`]): a missing
 //! argument takes its default, and a value that does not parse, lies
 //! out of range or is not expected at all exits with code 2 and the
-//! bin's usage line.
+//! bin's usage line.  `table1` and `fig3` exit with code 1 after their
+//! figures when a simulated inference missed the golden model.
 //!
 //! # Example
 //!

@@ -151,7 +151,9 @@ impl<'a> ParallelProtocolDriver<'a> {
         // workers skip the settle from X: they load the snapshot onto
         // all 64 lanes, check it is a fixed point of the circuit, settle
         // the spacer from it (no event pops) and compare the word with
-        // it (`SlicedProtocolDriver::from_sliced_simulator`).  That a
+        // it, on their first event-kernel word when the memoised arrival
+        // compile already proved that priming succeeds
+        // (`SlicedProtocolDriver::from_sliced_simulator`).  That a
         // settle from X reaches the same state on every lane is pinned
         // by `tests/snapshot_load.rs`.
         let snapshot =

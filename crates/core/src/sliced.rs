@@ -31,6 +31,15 @@
 //! queue, with bit-identical results.  Every other word runs on the
 //! event kernel; see [`SlicedProtocolDriver::apply_word`] for the rule.
 //!
+//! Only the event kernel reads the 64-lane instance, so a healthy
+//! driver primes it (loads the snapshot onto every lane, settles the
+//! spacer and compares) on the first event-kernel word, fault plan,
+//! instrument or watchdog setting, not at construction.  Construction
+//! still verifies the snapshot: through the memoised arrival compile
+//! and a check that it holds the spacer inputs, which together prove
+//! the deferred priming succeeds.  Any other driver primes at
+//! construction; see [`SlicedProtocolDriver::from_sliced_simulator`].
+//!
 //! # Error semantics
 //!
 //! [`SlicedProtocolDriver::apply_word`] returns one
@@ -91,12 +100,19 @@ pub struct SlicedProtocolDriver<'a> {
     /// Set once a fault plan is installed through the driver, even an
     /// empty one: such a driver stays on the event kernel.
     faulted: bool,
+    /// Whether `sim` has been primed: `snapshot` loaded onto every
+    /// lane, the observed outputs watched and the spacer settled.
+    /// Construction leaves it unset only when it has proved that
+    /// priming succeeds (see
+    /// [`SlicedProtocolDriver::from_sliced_simulator`]).
+    primed: bool,
     /// Whether every lane holds `snapshot` with no event pending: the
-    /// state an arrival pass starts from.
+    /// state an arrival pass starts from.  An unprimed driver counts as
+    /// there, since priming puts it there.
     at_snapshot: bool,
-    /// The arrival kernel at `snapshot`, looked up on the first word
-    /// that could use it; `Some(None)` when the circuit has none.
-    arrival: Option<Option<Box<ArrivalLane>>>,
+    /// The arrival kernel at `snapshot`, looked up at construction;
+    /// `None` when the circuit has none, or while a word runs on it.
+    arrival: Option<Box<ArrivalLane>>,
 }
 
 /// An arrival program and one lane's scratch.
@@ -117,13 +133,27 @@ impl<'a> SlicedProtocolDriver<'a> {
     /// with [`SlicedSimulator::load_settled_state`] instead.
     ///
     /// Each construction still checks what it loads.  The snapshot must
-    /// have one value per net and be a fixed point of the circuit.  The
-    /// spacer is then driven and settled as before, which pops no event
-    /// when the snapshot holds the spacer inputs, and the settled word
-    /// is compared with the snapshot on every lane.  That a settle from
-    /// X reaches the snapshot on every lane is pinned by the test suite
-    /// for the shipped datapaths, and the reset-phase verification after
-    /// every cycle is unchanged.
+    /// have one value per net and be a fixed point of the circuit, and
+    /// priming (loading it, then driving and settling the spacer, which
+    /// pops no event when the snapshot holds the spacer inputs) must
+    /// leave every lane at it.  That a settle from X reaches the
+    /// snapshot on every lane is pinned by the test suite for the
+    /// shipped datapaths, and the reset-phase verification after every
+    /// cycle is unchanged.
+    ///
+    /// Construction looks up the arrival kernel at the snapshot, then
+    /// primes the instance unless it can prove that priming succeeds:
+    /// the driver has an arrival kernel, `req` and both rails of every
+    /// dual input hold their spacer levels in the snapshot, and the
+    /// instance may serve words on the arrival kernel (no metrics, wave
+    /// probe or fault plan, the default event limit).  The arrival
+    /// compile behind that, memoised per program and snapshot, accepts
+    /// only a fixed point without X, and spacer inputs leave the settle
+    /// nothing to move, so the comparison cannot fail.  Such a driver
+    /// primes on its first event-kernel word,
+    /// [`SlicedProtocolDriver::set_fault_plan`], attached metrics or
+    /// wave probe, or event limit or time horizon; while its words run
+    /// on the arrival kernel it is never primed.
     ///
     /// # Errors
     ///
@@ -139,7 +169,7 @@ impl<'a> SlicedProtocolDriver<'a> {
     /// Panics if `sim` does not simulate this circuit's netlist.
     pub fn from_sliced_simulator(
         circuit: &'a DualRailNetlist,
-        mut sim: SlicedSimulator<'a>,
+        sim: SlicedSimulator<'a>,
         snapshot: Arc<[Logic]>,
         check_monotonic: bool,
     ) -> Result<Self, DualRailError> {
@@ -157,15 +187,6 @@ impl<'a> SlicedProtocolDriver<'a> {
                 ),
             });
         }
-        if let Some(net) = sim.load_settled_state(&snapshot) {
-            return Err(DualRailError::SpacerStateMismatch {
-                description: format!(
-                    "net {net} holds {:?} in the quiescent snapshot but its driver would change \
-                     it, so the snapshot is not a settled state of this circuit",
-                    snapshot[net.index()]
-                ),
-            });
-        }
         let observed = circuit.observed_output_nets();
         let req = circuit
             .netlist()
@@ -180,25 +201,51 @@ impl<'a> SlicedProtocolDriver<'a> {
             req,
             metrics: None,
             faulted: false,
-            at_snapshot: false,
+            primed: false,
+            at_snapshot: true,
             arrival: None,
         };
-        let mut watched = driver.observed.clone();
-        if let Some(done) = circuit.done() {
+        driver.arrival = driver.arrival_lane();
+        // An arrival lane proves the snapshot a fixed point without X,
+        // and spacer inputs leave the settle nothing to move (see the
+        // rustdoc above), so such a driver's priming is deferred.
+        let at_spacer = driver
+            .spacer_levels()
+            .all(|(net, level)| driver.snapshot[net.index()] == Logic::from(level));
+        if !(driver.arrival.is_some() && at_spacer && driver.arrival_eligible()) {
+            driver.prime()?;
+        }
+        Ok(driver)
+    }
+
+    /// Loads the snapshot onto every lane, watches the observed outputs
+    /// and `done`, settles the spacer and compares the word with the
+    /// snapshot on every lane.
+    fn prime(&mut self) -> Result<(), DualRailError> {
+        if let Some(net) = self.sim.load_settled_state(&self.snapshot) {
+            return Err(DualRailError::SpacerStateMismatch {
+                description: format!(
+                    "net {net} holds {:?} in the quiescent snapshot but its driver would change \
+                     it, so the snapshot is not a settled state of this circuit",
+                    self.snapshot[net.index()]
+                ),
+            });
+        }
+        let mut watched = self.observed.clone();
+        if let Some(done) = self.circuit.done() {
             if !watched.contains(&done) {
                 watched.push(done);
             }
         }
-        driver.sim.set_watch_nets(&watched);
+        self.sim.set_watch_nets(&watched);
         // A snapshot already at the spacer suppresses every lane of this
         // drive, so the settle pops no event; any other snapshot moves
         // and fails the comparison below.
-        driver.drive_spacer_planes();
-        if !driver.sim.run_until_quiescent().is_quiescent() {
+        self.drive_spacer_planes();
+        if !self.sim.run_until_quiescent().is_quiescent() {
             return Err(DualRailError::SimulationDiverged);
         }
-        if let Some((lane, net, expected, got)) =
-            driver.sim.lane_state_mismatch(&driver.snapshot, FULL)
+        if let Some((lane, net, expected, got)) = self.sim.lane_state_mismatch(&self.snapshot, FULL)
         {
             return Err(DualRailError::SpacerStateMismatch {
                 description: format!(
@@ -207,14 +254,26 @@ impl<'a> SlicedProtocolDriver<'a> {
                 ),
             });
         }
-        driver.at_snapshot = true;
-        Ok(driver)
+        self.primed = true;
+        Ok(())
+    }
+
+    /// Primes the instance if construction deferred it.  Construction
+    /// defers only a priming it has proved to succeed, so a failure here
+    /// is a broken invariant of this module, not a caller error.
+    fn ensure_primed(&mut self) {
+        if !self.primed {
+            if let Err(error) = self.prime() {
+                unreachable!("construction deferred a priming that fails: {error}");
+            }
+        }
     }
 
     /// Caps the merged events processed per settle phase; the word
     /// shares one budget, so oscillation aborts every lane (see
     /// [`gatesim::SlicedSimulator::set_event_limit`]).
     pub fn set_event_limit(&mut self, limit: u64) {
+        self.ensure_primed();
         self.sim.set_event_limit(limit);
     }
 
@@ -223,6 +282,7 @@ impl<'a> SlicedProtocolDriver<'a> {
     /// watchdog that keeps a faulted word from spinning the merged
     /// event loop until the (much larger) event limit.
     pub fn set_time_horizon_ps(&mut self, horizon_ps: f64) {
+        self.ensure_primed();
         self.sim.set_time_horizon_ps(horizon_ps);
     }
 
@@ -236,6 +296,7 @@ impl<'a> SlicedProtocolDriver<'a> {
     /// sharded word streams reduce to the same snapshot at any thread
     /// count (see [`ProtocolDriver::attach_metrics`]).
     pub fn attach_metrics(&mut self, registry: &tm_obs::MetricsRegistry, prefix: &str) {
+        self.ensure_primed();
         self.metrics = Some(Box::new(tm_obs::ProtocolMetrics::register(
             registry,
             &format!("{prefix}.protocol"),
@@ -273,6 +334,7 @@ impl<'a> SlicedProtocolDriver<'a> {
     ///
     /// Panics if `lane >= gatesim::LANES`.
     pub fn attach_wave_probe(&mut self, probe: tm_obs::WaveProbe, lane: usize) {
+        self.ensure_primed();
         self.sim.attach_wave_probe(probe, lane);
     }
 
@@ -294,6 +356,7 @@ impl<'a> SlicedProtocolDriver<'a> {
     /// Returns [`DualRailError::SimulationDiverged`] if the faulted
     /// circuit cannot reach quiescence within the watchdog bounds.
     pub fn set_fault_plan(&mut self, plan: &gatesim::FaultPlan) -> Result<(), DualRailError> {
+        self.ensure_primed();
         self.faulted = true;
         self.sim.set_fault_plan(plan);
         if !self.sim.run_until_quiescent().is_quiescent() {
@@ -306,16 +369,20 @@ impl<'a> SlicedProtocolDriver<'a> {
         Ok(())
     }
 
-    fn drive_spacer_planes(&mut self) {
-        if let Some(req) = self.req {
-            self.sim.set_input_planes(req, 0, 0, FULL);
-        }
-        for (_, signal) in self.circuit.dual_inputs() {
+    /// The spacer drive as `(input, level)`: `req` low, then both rails
+    /// of every dual input at their spacer levels, in declaration order.
+    fn spacer_levels(&self) -> impl Iterator<Item = (NetId, bool)> + 'a {
+        let inputs = self.circuit.dual_inputs().iter().flat_map(|(_, signal)| {
             let (p, n) = DualRailValue::encode_spacer(signal.polarity);
+            [(signal.positive, p), (signal.negative, n)]
+        });
+        self.req.map(|req| (req, false)).into_iter().chain(inputs)
+    }
+
+    fn drive_spacer_planes(&mut self) {
+        for (net, level) in self.spacer_levels() {
             self.sim
-                .set_input_planes(signal.positive, if p { FULL } else { 0 }, 0, FULL);
-            self.sim
-                .set_input_planes(signal.negative, if n { FULL } else { 0 }, 0, FULL);
+                .set_input_planes(net, if level { FULL } else { 0 }, 0, FULL);
         }
     }
 
@@ -542,36 +609,29 @@ impl<'a> SlicedProtocolDriver<'a> {
             && self.sim.event_limit() == gatesim::Simulator::DEFAULT_EVENT_LIMIT
     }
 
-    /// Takes the arrival kernel out of the driver, looking its program
-    /// up on first use (compiled at most once per engine program and
-    /// snapshot content).  There is none when the compile fails, when
-    /// the dual-rail inputs share nets (a drive would then move one net
-    /// twice), or when a lane's pops could exceed the default event
+    /// The arrival kernel at the snapshot, its program looked up in the
+    /// engine program's memo (compiled at most once per engine program
+    /// and snapshot content).  There is none when the compile fails,
+    /// when the dual-rail inputs share nets (a drive would then move one
+    /// net twice), or when a lane's pops could exceed the default event
     /// limit.
-    fn take_arrival(&mut self) -> Option<Box<ArrivalLane>> {
-        self.arrival
-            .get_or_insert_with(|| {
-                let mut driven: Vec<NetId> = self
-                    .circuit
-                    .dual_inputs()
-                    .iter()
-                    .flat_map(|(_, signal)| [signal.positive, signal.negative])
-                    .chain(self.req)
-                    .collect();
-                let count = driven.len();
-                driven.sort_unstable();
-                driven.dedup();
-                let program = self.sim.program().arrival_program(&self.snapshot).ok()?;
-                let fits = program.pop_bound() <= gatesim::Simulator::DEFAULT_EVENT_LIMIT;
-                (driven.len() == count && fits).then(|| {
-                    Box::new(ArrivalLane {
-                        run: program.new_run(),
-                        program,
-                        moved: Vec::new(),
-                    })
-                })
+    fn arrival_lane(&self) -> Option<Box<ArrivalLane>> {
+        let mut driven = vec![false; self.snapshot.len()];
+        let distinct = self
+            .spacer_levels()
+            .all(|(net, _)| !std::mem::replace(&mut driven[net.index()], true));
+        if !distinct {
+            return None;
+        }
+        let program = self.sim.program().arrival_program(&self.snapshot).ok()?;
+        let fits = program.pop_bound() <= gatesim::Simulator::DEFAULT_EVENT_LIMIT;
+        fits.then(|| {
+            Box::new(ArrivalLane {
+                run: program.new_run(),
+                program,
+                moved: Vec::new(),
             })
-            .take()
+        })
     }
 
     /// Serves the word on the arrival kernel, or returns `None` when it
@@ -585,7 +645,7 @@ impl<'a> SlicedProtocolDriver<'a> {
         if live == 0 || live > ARRIVAL_MAX_LANES || !self.arrival_eligible() {
             return None;
         }
-        let mut lane = self.take_arrival()?;
+        let mut lane = self.arrival.take()?;
         let results = operands
             .iter()
             .map(|operand| {
@@ -599,7 +659,7 @@ impl<'a> SlicedProtocolDriver<'a> {
                 }
             })
             .collect();
-        self.arrival = Some(Some(lane));
+        self.arrival = Some(lane);
         results
     }
 
@@ -710,6 +770,7 @@ impl<'a> SlicedProtocolDriver<'a> {
         if run == 0 {
             return fail_all(errors);
         }
+        self.ensure_primed();
         // A previous word that diverged left its event tail in the
         // queue; the instance no longer sits in a quiescent state.
         if self.sim.has_pending_events() {

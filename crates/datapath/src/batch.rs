@@ -316,19 +316,12 @@ pub(crate) fn pack_feature_words<V: AsRef<[bool]>>(
 ///
 /// # Errors
 ///
-/// Returns a decode failure if a lane's comparator outputs are not
-/// one-hot.
+/// Returns a decode failure if the pass produced fewer than those 11
+/// words or a lane's comparator outputs are not one-hot.
 pub(crate) fn decode_lane_outcomes(
     outputs: &[u64],
     lanes: usize,
 ) -> Result<Vec<InferenceOutcome>, DatapathError> {
-    let &[less, equal, greater, ..] = outputs else {
-        return Err(DatapathError::DecodeFailure(format!(
-            "batch pass produced {} output words; the golden model declares \
-             three comparator outputs followed by two 4-bit vote counts",
-            outputs.len()
-        )));
-    };
     if outputs.len() < 11 {
         return Err(DatapathError::DecodeFailure(format!(
             "batch pass produced {} output words, expected 11 (3 comparator + 2×4 votes)",
@@ -346,7 +339,7 @@ pub(crate) fn decode_lane_outcomes(
             };
             let positive_votes = decode_count(&outputs[3..7]);
             let negative_votes = decode_count(&outputs[7..11]);
-            let active: Vec<usize> = [less, equal, greater]
+            let active: Vec<usize> = outputs[..3]
                 .iter()
                 .enumerate()
                 .filter(|(_, &w)| (w >> lane) & 1 == 1)
@@ -445,5 +438,19 @@ mod tests {
         assert!(batch
             .infer_batch(workload.masks(), workload.feature_vectors())
             .is_err());
+    }
+
+    #[test]
+    fn short_output_words_are_a_decode_failure() {
+        for count in [3, 10] {
+            let outputs = vec![0u64; count];
+            assert!(
+                matches!(
+                    decode_lane_outcomes(&outputs, 1),
+                    Err(DatapathError::DecodeFailure(_))
+                ),
+                "{count} output words"
+            );
+        }
     }
 }

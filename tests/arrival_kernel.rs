@@ -23,6 +23,7 @@
 //! lane on the public `ArrivalProgram` pass, asserts that it needs no
 //! fallback, and counts the words that fell back on a tie instead.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use tm_async::celllib::Library;
@@ -30,12 +31,14 @@ use tm_async::datapath::{
     CompletionScheme, DatapathConfig, DatapathOptions, DualRailDatapath, InferenceWorkload,
 };
 use tm_async::dualrail::{
-    rebased_reference_driver, DualRailNetlist, DualRailValue, OperandResult,
+    rebased_reference_driver, DualRailError, DualRailNetlist, DualRailValue, OperandResult,
     ParallelProtocolDriver, ProtocolDriver, SlicedProtocolDriver,
 };
-use tm_async::gatesim::{ArrivalProgram, EngineProgram, Logic, Simulator, SlicedSimulator};
+use tm_async::gatesim::{
+    ArrivalProgram, EngineProgram, FaultPlan, Logic, Simulator, SlicedSimulator,
+};
 use tm_async::netlist::NetId;
-use tm_async::obs::MetricsRegistry;
+use tm_async::obs::{MetricsRegistry, SimMetrics};
 
 /// Most live lanes a word served by the arrival kernel has.
 const CROSSOVER: usize = 12;
@@ -340,4 +343,117 @@ fn check_standard_workload(harness: &Harness<'_>, datapath: &DualRailDatapath, s
         served > ties,
         "seed {seed}: the arrival kernel serves most words"
     );
+}
+
+/// Runs `word` on both drivers: every lane must match, results as
+/// bits and errors as values.  With an `oracle`, a healthy lane must
+/// also equal the scalar oracle's bits for its operand.
+fn same_lanes(
+    drivers: &mut [SlicedProtocolDriver<'_>; 2],
+    word: &[Vec<bool>],
+    oracle: Option<&[Bits]>,
+    what: &str,
+) {
+    let [got, expected] = drivers.each_mut().map(|driver| driver.apply_word(word));
+    assert_eq!(got.len(), word.len(), "{what}");
+    for (lane, (got, expected)) in got.iter().zip(&expected).enumerate() {
+        let as_bits =
+            |r: &Result<OperandResult, DualRailError>| r.as_ref().map(bits).map_err(Clone::clone);
+        assert_eq!(as_bits(got), as_bits(expected), "{what}, lane {lane}");
+        if let (Ok(got), Some(oracle)) = (got, oracle) {
+            assert_eq!(bits(got), oracle[lane], "{what}, lane {lane} vs scalar");
+        }
+    }
+}
+
+/// A driver that primes lazily (a fresh, uninstrumented instance whose
+/// snapshot holds the spacer inputs and compiles for the arrival
+/// kernel) against one primed at construction (an instance with engine
+/// metrics attached, then detached), over one mixed word sequence:
+/// arrival words of 1 to 12 lanes, a full event-kernel word, a word
+/// with a width-mismatched lane and arrival words again, then metrics,
+/// an empty fault plan and a stuck-at fault plan.  Every lane and the
+/// metered segment's metrics snapshot must match, and healthy lanes
+/// must match the scalar oracle.  A second lazy driver takes its
+/// metrics before any word, so attaching them is what primes it.
+#[test]
+fn a_lazily_primed_driver_matches_one_primed_at_construction() {
+    let library = Library::umc_ll();
+    let small = shipped()
+        .into_iter()
+        .filter(|(_, config, _)| config.features() < 12);
+    for (name, config, datapath) in small {
+        let harness = Harness::new(&name, &datapath, &library);
+        let primed = || {
+            let mut sim = SlicedSimulator::from_program(Arc::clone(&harness.program));
+            sim.attach_metrics(SimMetrics::register(&MetricsRegistry::new(), "priming"));
+            let mut driver = SlicedProtocolDriver::from_sliced_simulator(
+                harness.circuit,
+                sim,
+                Arc::clone(&harness.snapshot),
+                true,
+            )
+            .expect("the snapshot loads");
+            driver.detach_metrics();
+            driver
+        };
+        let operands = InferenceWorkload::random(&config, 78 + 64, 0.6, 2029)
+            .expect("workload")
+            .dual_rail_operands(&datapath)
+            .expect("widths");
+        let oracle: Vec<Bits> = harness.scalar(&operands).iter().map(bits).collect();
+        let check = |drivers: &mut [_; 2], word: Range<usize>, healthy: bool, what: &str| {
+            let oracle = healthy.then(|| &oracle[word.clone()]);
+            same_lanes(drivers, &operands[word], oracle, &format!("{name}: {what}"));
+        };
+        let full = 78..78 + 64;
+
+        let mut drivers = [harness.driver(), primed()];
+        let mut start = 0;
+        for size in 1..=CROSSOVER {
+            check(&mut drivers, start..start + size, true, "arrival word");
+            start += size;
+        }
+        check(&mut drivers, full.clone(), true, "full word");
+        let mut mismatched = operands[..5].to_vec();
+        mismatched[2].pop();
+        let what = format!("{name}: width-mismatched lane");
+        same_lanes(&mut drivers, &mismatched, Some(&oracle[..5]), &what);
+        for word in [5..6, 6..13, 13..25] {
+            check(
+                &mut drivers,
+                word,
+                true,
+                "arrival word after the event kernel",
+            );
+        }
+
+        // The metered segment, on the drivers above and on a pair whose
+        // metrics attach before their first word.
+        let done = harness.circuit.done().expect("completion inserted");
+        let plans = [FaultPlan::new(), FaultPlan::new().stuck_at(done, false)];
+        for mut drivers in [drivers, [harness.driver(), primed()]] {
+            let registries = [MetricsRegistry::new(), MetricsRegistry::new()];
+            for (driver, registry) in drivers.iter_mut().zip(&registries) {
+                driver.attach_metrics(registry, "dualrail.sliced");
+            }
+            check(&mut drivers, 0..3, true, "metered word");
+            check(&mut drivers, full.clone(), true, "metered full word");
+            for (plan, healthy) in plans.iter().zip([true, false]) {
+                for driver in &mut drivers {
+                    driver.set_fault_plan(plan).expect("the plan settles");
+                }
+                check(&mut drivers, 0..3, healthy, &format!("word under {plan:?}"));
+                check(
+                    &mut drivers,
+                    full.clone(),
+                    healthy,
+                    "full word under a plan",
+                );
+            }
+            let [lazy, reference] = registries.map(|registry| registry.snapshot());
+            assert!(lazy.counter("dualrail.sliced.sim.events_popped") > 0);
+            assert_eq!(lazy, reference, "{name}: the metered segment");
+        }
+    }
 }

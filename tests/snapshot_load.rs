@@ -11,7 +11,10 @@
 //!   bit-identical to a driver built on the instance settled from X;
 //! - a snapshot of the wrong length, or one that is not a fixed point
 //!   of the circuit, is a typed error: never a panic, never a start
-//!   from an unstable state.
+//!   from an unstable state;
+//! - a fixed point that holds an input off the spacer is a typed error
+//!   too, also on the uninstrumented instances whose priming the driver
+//!   may defer.
 
 use std::sync::Arc;
 
@@ -22,7 +25,7 @@ use tm_async::datapath::{
 use tm_async::dualrail::{
     DualRailError, DualRailNetlist, DualRailValue, ProtocolDriver, SlicedProtocolDriver,
 };
-use tm_async::gatesim::{EngineProgram, Logic, SlicedSimulator};
+use tm_async::gatesim::{EngineProgram, Logic, Simulator, SlicedSimulator};
 use tm_async::netlist::{CellKind, NetId};
 use tm_async::obs::{MetricsRegistry, SimMetrics};
 
@@ -218,6 +221,82 @@ fn bad_snapshots_are_typed_errors() {
                 "{name}, net {net} flipped: {description}"
             ),
             other => panic!("{name}: net {net} flipped must be rejected, got {other:?}"),
+        }
+    }
+}
+
+/// A fixed point that holds dual input `input` at its valid codeword
+/// for 1: settled from X on a scalar simulator with that input driven
+/// valid and `req` and every other input at the spacer.
+fn settled_with_one_valid_input(
+    circuit: &DualRailNetlist,
+    program: &Arc<EngineProgram<'_>>,
+    input: usize,
+) -> Vec<Logic> {
+    let mut sim = Simulator::from_program(Arc::clone(program));
+    let netlist = circuit.netlist();
+    if let Some(req) = netlist
+        .find_net("req")
+        .filter(|&n| netlist.is_primary_input(n))
+    {
+        sim.set_input(req, Logic::Zero);
+    }
+    for (i, (_, signal)) in circuit.dual_inputs().iter().enumerate() {
+        let (p, n) = if i == input {
+            DualRailValue::encode_valid(true, signal.polarity)
+        } else {
+            DualRailValue::encode_spacer(signal.polarity)
+        };
+        sim.set_input(signal.positive, Logic::from(p));
+        sim.set_input(signal.negative, Logic::from(n));
+    }
+    assert!(sim.run_until_quiescent().is_quiescent());
+    sim.net_values().to_vec()
+}
+
+/// A fixed point with one input off the spacer passes the load check,
+/// and a fresh, uninstrumented instance (the kind whose priming may be
+/// deferred) still rejects it at construction: the spacer settle moves
+/// the input back.  On the shipped datapaths the arrival compile
+/// rejects such a snapshot too; on a circuit whose extra input drives
+/// nothing but an output it accepts it, so there only the check that
+/// the snapshot holds the spacer inputs keeps priming at construction.
+#[test]
+fn a_fixed_point_off_the_spacer_fails_construction() {
+    let library = Library::umc_ll();
+    let mut pass_through = DualRailNetlist::new("pass_through");
+    let a = pass_through.add_dual_input("a");
+    let b = pass_through.add_dual_input("b");
+    let y = pass_through.and2("y", a, b).expect("and2");
+    pass_through.add_dual_output("y", y);
+    let c = pass_through.add_dual_input("c");
+    pass_through.add_dual_output("c", c);
+    let datapaths = shipped();
+    let circuits = datapaths
+        .iter()
+        .map(|(name, _, datapath)| (name.as_str(), datapath.circuit(), 0, false))
+        .chain([("pass-through", &pass_through, 2, true)]);
+    for (name, circuit, input, compiles) in circuits {
+        let program = Arc::new(EngineProgram::new(circuit.netlist(), &library));
+        let snapshot: Arc<[Logic]> =
+            Arc::from(settled_with_one_valid_input(circuit, &program, input));
+        assert_eq!(
+            program.arrival_program(&snapshot).is_ok(),
+            compiles,
+            "{name}: the arrival compile"
+        );
+        let built = SlicedProtocolDriver::from_sliced_simulator(
+            circuit,
+            SlicedSimulator::from_program(Arc::clone(&program)),
+            snapshot,
+            true,
+        );
+        match built {
+            Err(DualRailError::SpacerStateMismatch { description }) => assert!(
+                description.contains("after initialisation"),
+                "{name}: the spacer settle rejects it, got {description}"
+            ),
+            other => panic!("{name}: an input off the spacer must be rejected, got {other:?}"),
         }
     }
 }
