@@ -66,13 +66,17 @@ const FULL: u64 = !0u64;
 ///
 /// Measured on an Intel Xeon (2 vCPUs) on the standard (12, 8)
 /// netlist in both completion schemes, alternating the two kernels
-/// over the same 32 words in one run (medians of 5 trials): `k` lanes
-/// served as `k` arrival passes against one event-kernel word of `k`
-/// lanes took 66–68 against 473–621 µs at one lane (7–9x), 857–883
-/// against 1122–1136 µs at 12 lanes (1.3x), 924–1125 against 961–1166
-/// µs at 16 lanes (1.04x) and 1637–1647 against 1206–1216 µs at 24
-/// lanes (0.74x).  The kernels cross near 16 lanes; 12 keeps a margin.
-pub(crate) const ARRIVAL_MAX_LANES: usize = 12;
+/// over the same 32 words within each of two runs (medians of 5
+/// trials): `k` lanes served as `k` arrival passes against one
+/// event-kernel word of `k` lanes took 36–42 against 530–570 µs at
+/// one lane (13–15x), 375–417 against 1018–1094 µs at 12 lanes
+/// (2.6x), 512–541 against 1047–1153 µs at 16 lanes (2.0–2.1x),
+/// 1031–1059 against 1342–1393 µs at 32 lanes (1.3x), 1198–1344
+/// against 1287–1478 µs at 40 lanes (1.06–1.10x), 1411–1584 against
+/// 1390–1457 µs at 48 lanes (0.92–1.03x) and 2028–2134 against
+/// 1517–1714 µs at 64 lanes (0.75–0.80x).  The kernels cross near
+/// 44–48 lanes; 32 keeps a margin.
+pub(crate) const ARRIVAL_MAX_LANES: usize = 32;
 
 /// One lane's decoded outputs: the dual-rail output bits plus the
 /// decoded 1-of-n group selections.
@@ -568,8 +572,8 @@ impl<'a> SlicedProtocolDriver<'a> {
     ///
     /// # Kernels
     ///
-    /// A word with few live lanes (at most a measured crossover, about
-    /// a dozen) on a healthy, uninstrumented driver runs on the
+    /// A word with few live lanes (at most a measured crossover, 32)
+    /// on a healthy, uninstrumented driver runs on the
     /// **arrival kernel** ([`gatesim::ArrivalProgram`]): one
     /// topological `(min, max, +)` pass per phase and lane, compiled
     /// once per [`gatesim::EngineProgram`] and snapshot.  Its results

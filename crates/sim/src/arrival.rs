@@ -23,23 +23,38 @@
 //! settles both phases of one operand with one topological pass each —
 //! the arrival-time algebra of race logic.
 //!
+//! # Layout
+//!
+//! The compile orders each depth's cells by (valid formula, spacer
+//! formula, arity) — cells of one depth are independent, so the order
+//! stays topological — and stores each run of cells that share all
+//! three contiguously: outputs, delays and input nets.  A pass then
+//! settles a first-pin or last-pin run as one min or max over exactly
+//! its arity per cell, with no per-cell dispatch; only the general
+//! (majority and AND-OR) formulas walk their pin sets.
+//!
 //! # Exactness
 //!
 //! The pass reproduces the event kernel's observable per-lane results
 //! bit for bit, not just its settled values:
 //!
 //! - move times are the same `f64` sums (`input time + delay`, with the
-//!   delays of the [`EngineProgram`]);
+//!   delays of the [`EngineProgram`]), and mins and maxes of them, which
+//!   no run order or grouping changes;
 //! - the lane clock counts **no-op pops** too.  An input that changes
 //!   while its cell's output event is still in flight re-schedules the
 //!   output (the event kernel's suppression rule only drops a schedule
 //!   when nothing is in flight), and the resulting no-op pop advances
-//!   the lane clock.  The pass replays that rule per cell;
+//!   the lane clock.  The pass replays that rule for a cell only when an
+//!   input lands inside the flight window `(flip, flip + delay]` of its
+//!   first schedule: an input after the window finds nothing in flight,
+//!   so without one the last pop is the first;
 //! - an input change at exactly the time the cell's last in-flight
 //!   event pops is a tie the event queue breaks by insertion order,
 //!   which a levelized pass cannot see.  Such a cycle returns an
-//!   [`ArrivalTie`] instead of guessing, and the caller re-runs it on
-//!   the event kernel.
+//!   [`ArrivalTie`] (naming the first tied net in pass order) instead of
+//!   guessing, and the caller re-runs it on the event kernel.  A tie
+//!   with the first pop lies inside the window, so the replay sees it.
 //!
 //! # Compile errors
 //!
@@ -182,8 +197,9 @@ pub struct ArrivalTie {
 
 /// The minimal input sets that move a cell's output in one phase,
 /// evaluated as `min over sets (max over pins)` in the valid phase and
-/// `max over sets (min over pins)` in the spacer phase.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// `max over sets (min over pins)` in the spacer phase.  The order
+/// groups the pass's cells by formula.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Formula {
     /// Every pin alone: the first (valid) or last (spacer) pin.
     AnyPin,
@@ -193,78 +209,73 @@ enum Formula {
     Terms { start: u32, len: u32 },
 }
 
-impl Formula {
-    /// `min over sets (max over pins in the set)`, and whether an input
-    /// can change after that time (the result is not the latest input).
-    #[inline(always)]
-    fn min_of_max(self, t: &[f64], terms: &[u8]) -> (f64, bool) {
-        match self {
-            Formula::AnyPin => (t.iter().copied().fold(INF, f64::min), true),
-            Formula::AllPins => (t.iter().copied().fold(NEG_INF, f64::max), false),
-            Formula::Terms { start, len } => (
-                terms[start as usize..][..len as usize]
-                    .iter()
-                    .map(|&set| pins_of(set).fold(NEG_INF, |acc, pin| acc.max(t[pin])))
-                    .fold(INF, f64::min),
-                true,
-            ),
-        }
-    }
-
-    /// `max over sets (min over pins in the set)`, and whether an input
-    /// can change after that time.
-    #[inline(always)]
-    fn max_of_min(self, t: &[f64], terms: &[u8]) -> (f64, bool) {
-        match self {
-            Formula::AnyPin => (t.iter().copied().fold(NEG_INF, f64::max), false),
-            Formula::AllPins => (t.iter().copied().fold(INF, f64::min), true),
-            Formula::Terms { start, len } => (
-                terms[start as usize..][..len as usize]
-                    .iter()
-                    .map(|&set| pins_of(set).fold(INF, |acc, pin| acc.min(t[pin])))
-                    .fold(NEG_INF, f64::max),
-                true,
-            ),
-        }
-    }
-
-    /// Sort key grouping cells of one formula shape.
-    fn rank(self) -> u8 {
-        match self {
-            Formula::AnyPin => 0,
-            Formula::AllPins => 1,
-            Formula::Terms { .. } => 2,
-        }
-    }
-}
-
 /// Pin indices of a pin mask.
 fn pins_of(set: u8) -> impl Iterator<Item = usize> {
     (0..MAX_PINS).filter(move |&pin| set >> pin & 1 == 1)
 }
 
-/// One cell that can move, in topological order.
-#[derive(Clone, Copy, Debug)]
-struct ArrivalCell {
-    out: u32,
-    pins_start: u32,
-    arity: u32,
-    delay_ps: f64,
-    valid: Formula,
-    spacer: Formula,
+/// The earlier of two times.  Times are never NaN, so a compare does
+/// what `f64::min` does without its NaN handling.
+#[inline(always)]
+fn min_time(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
 }
 
-/// A compiled arrival program: per movable cell, in topological order,
-/// its valid-phase and spacer-phase formulas over the move times of its
-/// inputs.  Built by [`EngineProgram::arrival_program`], which compiles
-/// at most once per program and state.
+/// The later of two times (see [`min_time`]).
+#[inline(always)]
+fn max_time(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// The earliest of `t`.
+#[inline(always)]
+fn first(t: &[f64]) -> f64 {
+    t.iter().copied().fold(INF, min_time)
+}
+
+/// The latest of `t`.
+#[inline(always)]
+fn last(t: &[f64]) -> f64 {
+    t.iter().copied().fold(NEG_INF, max_time)
+}
+
+/// Cells that share their valid and spacer formulas and their arity,
+/// consecutive in the pass order: `outs` and `delays` hold them at
+/// `start..start + len`, and `pins` holds their `arity` input nets
+/// each from `pins_start` on.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    valid: Formula,
+    spacer: Formula,
+    arity: usize,
+    start: u32,
+    len: u32,
+    pins_start: u32,
+}
+
+/// A compiled arrival program: the movable cells in a topological
+/// order, grouped into runs of one formula pair and arity, with their
+/// outputs, delays and input nets stored contiguously per run.  Built
+/// by [`EngineProgram::arrival_program`], which compiles at most once
+/// per program and state.
 #[derive(Debug)]
 pub struct ArrivalProgram {
     /// The settled state the formulas were derived at; every cycle
     /// starts and ends in it.
     state: Box<[Logic]>,
-    cells: Vec<ArrivalCell>,
-    /// Input nets of `cells`, flattened in the same order.
+    runs: Vec<Run>,
+    /// Output net and delay of each movable cell, in pass order.
+    outs: Vec<u32>,
+    delays: Vec<f64>,
+    /// Input nets of each movable cell, in pass order.
     pins: Vec<u32>,
     /// Pin masks of the `Formula::Terms` formulas.
     terms: Vec<u8>,
@@ -289,8 +300,8 @@ impl ArrivalProgram {
     /// Compiles the arrival program of `program` at the settled `state`
     /// (one value per net).  Formulas are derived from the truth tables
     /// once per cell kind, spacer levels and set of pins that can move,
-    /// so a compile costs a topological sort plus a table lookup per
-    /// cell.
+    /// so a compile costs a topological sort, a table lookup per cell
+    /// and a sort of the cells into runs.
     ///
     /// # Errors
     ///
@@ -353,34 +364,40 @@ impl ArrivalProgram {
                 continue;
             };
             movable[out as usize] = true;
-            cells.push((depth[cell], cell, valid, spacer));
+            cells.push((depth[cell], valid, spacer, inputs.len(), cell));
         }
-        // Depth order is a topological order too; grouping each depth by
-        // formula keeps the pass's per-cell branches predictable.
-        cells.sort_by_key(|&(depth, cell, valid, spacer)| {
-            (depth, valid.rank(), spacer.rank(), cell)
-        });
-        let mut pins = Vec::new();
-        let cells = cells
-            .into_iter()
-            .map(|(_, cell, valid, spacer)| {
-                let inputs = &program.cell_input_nets[program.cell_input_offsets[cell] as usize
-                    ..program.cell_input_offsets[cell + 1] as usize];
-                let pins_start = u32::try_from(pins.len()).expect("pins fit in u32");
-                pins.extend_from_slice(inputs);
-                ArrivalCell {
-                    out: program.cell_output[cell],
-                    pins_start,
-                    arity: u32::try_from(inputs.len()).expect("small arity"),
-                    delay_ps: program.cell_delay_ps[cell],
+        // Cells of one depth are independent, so depth order, with each
+        // depth sorted by formulas and arity, is a topological order
+        // too; consecutive cells that share all three form a run.
+        cells.sort_unstable();
+        let (mut runs, mut outs, mut delays, mut pins) =
+            (Vec::<Run>::new(), Vec::new(), Vec::new(), Vec::new());
+        for (_, valid, spacer, arity, cell) in cells {
+            match runs.last_mut() {
+                Some(run) if (run.valid, run.spacer, run.arity) == (valid, spacer, arity) => {
+                    run.len += 1;
+                }
+                _ => runs.push(Run {
                     valid,
                     spacer,
-                }
-            })
-            .collect();
+                    arity,
+                    start: u32::try_from(outs.len()).expect("cells fit in u32"),
+                    len: 1,
+                    pins_start: u32::try_from(pins.len()).expect("pins fit in u32"),
+                }),
+            }
+            outs.push(program.cell_output[cell]);
+            delays.push(program.cell_delay_ps[cell]);
+            pins.extend_from_slice(
+                &program.cell_input_nets[program.cell_input_offsets[cell] as usize
+                    ..program.cell_input_offsets[cell + 1] as usize],
+            );
+        }
         Ok(Self {
             state: state.into(),
-            cells,
+            runs,
+            outs,
+            delays,
             pins,
             terms,
             primary_input,
@@ -444,74 +461,86 @@ impl ArrivalProgram {
         for &net in moved {
             run.valid_ps[net.index()] = 0.0;
         }
-        run.valid_clock_ps = self.valid_pass(&mut run.valid_ps)?;
+        run.valid_clock_ps = self.pass(false, &mut run.valid_ps)?;
+        // A net that moved waits at infinity for its return, one that
+        // did not stays at minus infinity.
         for (spacer, &valid) in run.spacer_ps.iter_mut().zip(&run.valid_ps) {
             *spacer = if valid < INF { INF } else { NEG_INF };
         }
         for &net in moved {
             run.spacer_ps[net.index()] = 0.0;
         }
-        run.spacer_clock_ps = self.spacer_pass(&run.valid_ps, &mut run.spacer_ps)?;
+        run.spacer_clock_ps = self.pass(true, &mut run.spacer_ps)?;
         Ok(())
     }
 
-    /// The valid phase: each movable cell's output moves at
-    /// `delay + min of max` of its inputs' move times.
-    fn valid_pass(&self, times: &mut [f64]) -> Result<f64, ArrivalTie> {
+    /// One phase (the spacer phase if `spacer`) over every run, in pass
+    /// order; returns the phase's lane clock.
+    fn pass(&self, spacer: bool, times: &mut [f64]) -> Result<f64, ArrivalTie> {
         let mut clock = 0.0f64;
-        for cell in &self.cells {
-            let t = self.gather(cell, times);
-            let t = &t[..cell.arity as usize];
-            let (flip, later) = cell.valid.min_of_max(t, &self.terms);
-            // A cell that does not move keeps `INFINITY + delay`.
-            times[cell.out as usize] = flip + cell.delay_ps;
-            if flip < INF {
-                let last = if later {
-                    last_schedule(flip, cell.delay_ps, t, cell.out)?
-                } else {
-                    flip
-                };
-                clock = clock.max(last + cell.delay_ps);
-            }
+        for run in &self.runs {
+            let run_clock = match run.arity {
+                1 => self.run::<1>(run, spacer, times),
+                2 => self.run::<2>(run, spacer, times),
+                3 => self.run::<3>(run, spacer, times),
+                4 => self.run::<4>(run, spacer, times),
+                5 => self.run::<5>(run, spacer, times),
+                6 => self.run::<6>(run, spacer, times),
+                7 => self.run::<7>(run, spacer, times),
+                8 => self.run::<8>(run, spacer, times),
+                arity => unreachable!("a movable cell has {arity} pins"),
+            }?;
+            clock = max_time(clock, run_clock);
         }
         Ok(clock)
     }
 
-    /// The spacer phase: each output that moved returns at
+    /// One phase over the `A`-pin cells of `run`.  In the valid phase a
+    /// cell's output moves at `delay + min of max` of its inputs' move
+    /// times; in the spacer phase an output that moved returns at
     /// `delay + max of min` of its inputs' return times, where an input
-    /// that never moved counts as returned at minus infinity.
-    fn spacer_pass(&self, valid: &[f64], times: &mut [f64]) -> Result<f64, ArrivalTie> {
-        let mut clock = 0.0f64;
-        for cell in &self.cells {
-            let out = cell.out as usize;
-            if valid[out] == INF {
-                continue;
+    /// that never moved counts as returned at minus infinity.  A
+    /// first-pin or last-pin formula is one min or max over the pins;
+    /// only a general formula walks its sets.
+    fn run<const A: usize>(
+        &self,
+        run: &Run,
+        spacer: bool,
+        times: &mut [f64],
+    ) -> Result<f64, ArrivalTie> {
+        let (start, len) = (run.start as usize, run.len as usize);
+        let cells = Cells::<A> {
+            outs: &self.outs[start..][..len],
+            delays: &self.delays[start..][..len],
+            pins: self.pins[run.pins_start as usize..][..len * A]
+                .as_chunks()
+                .0,
+        };
+        let sets = |start: u32, len: u32| &self.terms[start as usize..][..len as usize];
+        match (spacer, run.valid, run.spacer) {
+            (false, Formula::AnyPin, _) => cells.settle::<false>(times, first, true),
+            (false, Formula::AllPins, _) => cells.settle::<false>(times, last, false),
+            (false, Formula::Terms { start, len }, _) => {
+                let sets = sets(start, len);
+                let flip = |t: &[f64]| {
+                    sets.iter()
+                        .map(|&set| pins_of(set).fold(NEG_INF, |acc, pin| max_time(acc, t[pin])))
+                        .fold(INF, min_time)
+                };
+                cells.settle::<false>(times, flip, true)
             }
-            let t = self.gather(cell, times);
-            let t = &t[..cell.arity as usize];
-            let (flip, later) = cell.spacer.max_of_min(t, &self.terms);
-            // The compile's containment check keeps the output moved
-            // through a set of pins that all moved, and so all return.
-            debug_assert!(flip.is_finite(), "net {out} does not return");
-            times[out] = flip + cell.delay_ps;
-            let last = if later {
-                last_schedule(flip, cell.delay_ps, t, cell.out)?
-            } else {
-                flip
-            };
-            clock = clock.max(last + cell.delay_ps);
+            (true, _, Formula::AnyPin) => cells.settle::<true>(times, last, false),
+            (true, _, Formula::AllPins) => cells.settle::<true>(times, first, true),
+            (true, _, Formula::Terms { start, len }) => {
+                let sets = sets(start, len);
+                let flip = |t: &[f64]| {
+                    sets.iter()
+                        .map(|&set| pins_of(set).fold(INF, |acc, pin| min_time(acc, t[pin])))
+                        .fold(NEG_INF, max_time)
+                };
+                cells.settle::<true>(times, flip, true)
+            }
         }
-        Ok(clock)
-    }
-
-    #[inline(always)]
-    fn gather(&self, cell: &ArrivalCell, times: &[f64]) -> [f64; MAX_PINS] {
-        let mut t = [0.0f64; MAX_PINS];
-        let pins = &self.pins[cell.pins_start as usize..][..cell.arity as usize];
-        for (slot, &net) in t.iter_mut().zip(pins) {
-            *slot = times[net as usize];
-        }
-        t
     }
 
     /// The value of `net` at the end of `run`'s valid phase.
@@ -523,6 +552,65 @@ impl ArrivalProgram {
             (Logic::One, true) => Logic::Zero,
             (level, _) => level,
         }
+    }
+}
+
+/// The cells of one run: per cell its output net, its delay and its `A`
+/// input nets.
+struct Cells<'p, const A: usize> {
+    outs: &'p [u32],
+    delays: &'p [f64],
+    pins: &'p [[u32; A]],
+}
+
+impl<const A: usize> Cells<'_, A> {
+    /// Settles the cells in order and returns their latest pop, or zero
+    /// when none moves.  `flip` folds a cell's input times into the time
+    /// its output flips.  In the `SPACER` phase an output holds
+    /// infinity if it moved in the valid phase and minus infinity if
+    /// not, which it keeps.  With `later`, an input may change after
+    /// the flip: the in-flight rule is replayed only for a cell with an
+    /// input inside its flight window `(flip, flip + delay]`, since only
+    /// such an input re-schedules the output or ties with its pop.
+    #[inline(always)]
+    fn settle<const SPACER: bool>(
+        &self,
+        times: &mut [f64],
+        flip: impl Fn(&[f64]) -> f64,
+        later: bool,
+    ) -> Result<f64, ArrivalTie> {
+        let mut clock = 0.0f64;
+        for ((&out, &delay), pins) in self.outs.iter().zip(self.delays).zip(self.pins) {
+            let t: [f64; A] = std::array::from_fn(|pin| times[pins[pin] as usize]);
+            let flip = flip(&t);
+            let slot = &mut times[out as usize];
+            let (moved, pop) = if SPACER {
+                (*slot == INF, min_time(flip + delay, *slot))
+            } else {
+                (flip < INF, flip + delay)
+            };
+            // The compile's containment check keeps an output that moved
+            // moved through a set of pins that all moved, and so all
+            // return.
+            debug_assert!(!moved || flip.is_finite(), "net {out} does not return");
+            *slot = pop;
+            // The first input after the flip, against the flight window's
+            // end: minus infinity for an output that does not move.
+            let next = t.iter().fold(INF, |next, &x| {
+                min_time(next, if x > flip { x } else { INF })
+            });
+            let end = if moved { pop } else { NEG_INF };
+            let pop = if later && next <= end {
+                last_schedule(flip, delay, &t, out)? + delay
+            } else {
+                pop
+            };
+            // An output that does not move sets no pop: in the valid
+            // phase it keeps `INFINITY + delay`, in the spacer phase
+            // minus infinity.
+            clock = max_time(clock, if SPACER || moved { pop } else { 0.0 });
+        }
+        Ok(clock)
     }
 }
 

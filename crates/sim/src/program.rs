@@ -301,7 +301,7 @@ impl<'a> EngineProgram<'a> {
         state: &[Logic],
     ) -> Result<Arc<ArrivalProgram>, ArrivalCompileError> {
         let mut cache = self.arrival.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some((_, compiled)) = cache.iter().find(|(key, _)| **key == *state) {
+        if let Some((_, compiled)) = cache.iter().find(|(key, _)| same_state(key, state)) {
             return compiled.clone();
         }
         let compiled = ArrivalProgram::compile(self, state).map(Arc::new);
@@ -389,6 +389,20 @@ impl<'a> EngineProgram<'a> {
     }
 }
 
+/// Whether two states hold the same values.  The compare runs chunk by
+/// chunk with no early exit inside a chunk, so it compiles to wide
+/// compares; `==` on `[Logic]` would branch on every value.
+fn same_state(a: &[Logic], b: &[Logic]) -> bool {
+    const CHUNK: usize = 64;
+    a.len() == b.len()
+        && a.chunks(CHUNK).zip(b.chunks(CHUNK)).all(|(a, b)| {
+            a.iter()
+                .zip(b)
+                .fold(0u8, |diff, (&a, &b)| diff | (a as u8 ^ b as u8))
+                == 0
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,6 +429,31 @@ mod tests {
         let q = seq.add_cell("cel", CellKind::CElement2, &[b, c]).unwrap();
         seq.add_output("q", q);
         assert!(!EngineProgram::new(&seq, &library).is_combinational());
+    }
+
+    #[test]
+    fn a_state_one_net_off_a_cached_key_gets_its_own_program() {
+        // Inputs only, so every state compiles; 200 nets span several
+        // compare chunks and a partial last one.
+        let mut nl = Netlist::new("memo");
+        for input in 0..200 {
+            nl.add_input(format!("i{input}"));
+        }
+        let program = EngineProgram::new(&nl, &Library::umc_ll());
+        let state = vec![Logic::Zero; nl.net_count()];
+        let cached = program.arrival_program(&state).unwrap();
+        for net in [0, nl.net_count() / 2, nl.net_count() - 1] {
+            let mut other = state.clone();
+            other[net] = Logic::One;
+            let compiled = program.arrival_program(&other).unwrap();
+            assert!(!Arc::ptr_eq(&compiled, &cached), "net {net}");
+            let net = NetId::from_index(net);
+            assert_eq!(compiled.valid_value(&compiled.new_run(), net), Logic::One);
+        }
+        assert!(Arc::ptr_eq(
+            &cached,
+            &program.arrival_program(&state).unwrap()
+        ));
     }
 
     #[test]

@@ -11,12 +11,12 @@
 //!
 //! Every `OperandResult` field must match both bit for bit (`f64`s by
 //! bit pattern, `cycle_time_ps` included), for random operands in words
-//! of 1 up to the crossover's 12 live lanes, through
+//! of 1 up to the crossover's 32 live lanes, through
 //! `run_workload_sliced` at 1, 2 and 7 threads, and for every operand of
 //! two standard workloads in one-lane words.
 //!
 //! Which kernel served a word is not visible through the driver's
-//! public API.  A word of at most 12 live lanes on a healthy,
+//! public API.  A word of at most 32 live lanes on a healthy,
 //! uninstrumented driver runs on the arrival kernel unless one of its
 //! lanes falls back (the unit tests of `dualrail::sliced` pin that rule
 //! through the simulator's pop counters), so the test replays every
@@ -41,7 +41,10 @@ use tm_async::netlist::NetId;
 use tm_async::obs::{MetricsRegistry, SimMetrics};
 
 /// Most live lanes a word served by the arrival kernel has.
-const CROSSOVER: usize = 12;
+const CROSSOVER: usize = 32;
+
+/// Operands in one word of each size from 1 to the crossover.
+const ARRIVAL_OPERANDS: usize = CROSSOVER * (CROSSOVER + 1) / 2;
 
 /// Both completion schemes at the two small shapes and the standard
 /// (12, 8) shape.
@@ -236,7 +239,7 @@ fn random_words_up_to_the_crossover_match_both_references() {
     let sizes: Vec<usize> = (1..=CROSSOVER).collect();
     for (name, config, datapath) in shipped() {
         let harness = Harness::new(&name, &datapath, &library);
-        let operands = InferenceWorkload::random(&config, 78, 0.6, 2027)
+        let operands = InferenceWorkload::random(&config, ARRIVAL_OPERANDS, 0.6, 2027)
             .expect("workload")
             .dual_rail_operands(&datapath)
             .expect("widths");
@@ -370,7 +373,7 @@ fn same_lanes(
 /// snapshot holds the spacer inputs and compiles for the arrival
 /// kernel) against one primed at construction (an instance with engine
 /// metrics attached, then detached), over one mixed word sequence:
-/// arrival words of 1 to 12 lanes, a full event-kernel word, a word
+/// arrival words of 1 to 32 lanes, a full event-kernel word, a word
 /// with a width-mismatched lane and arrival words again, then metrics,
 /// an empty fault plan and a stuck-at fault plan.  Every lane and the
 /// metered segment's metrics snapshot must match, and healthy lanes
@@ -397,7 +400,7 @@ fn a_lazily_primed_driver_matches_one_primed_at_construction() {
             driver.detach_metrics();
             driver
         };
-        let operands = InferenceWorkload::random(&config, 78 + 64, 0.6, 2029)
+        let operands = InferenceWorkload::random(&config, ARRIVAL_OPERANDS + 64, 0.6, 2029)
             .expect("workload")
             .dual_rail_operands(&datapath)
             .expect("widths");
@@ -406,7 +409,7 @@ fn a_lazily_primed_driver_matches_one_primed_at_construction() {
             let oracle = healthy.then(|| &oracle[word.clone()]);
             same_lanes(drivers, &operands[word], oracle, &format!("{name}: {what}"));
         };
-        let full = 78..78 + 64;
+        let full = ARRIVAL_OPERANDS..ARRIVAL_OPERANDS + 64;
 
         let mut drivers = [harness.driver(), primed()];
         let mut start = 0;
