@@ -3,8 +3,10 @@
 
 use tm_serve::{AdmissionPolicy, ServeConfig, ServiceModel};
 
-/// A 256-deep shed queue, 64-lane batches, a 50 µs batching deadline
-/// and measured service times.
+/// A 256-deep shed queue, 64-lane batches, a batching wait capped at
+/// 50 µs (on a stream as sparse as `serve_low`'s an idle server does
+/// not wait: see `tm_serve::MicroBatcher::next_flush_ns`) and measured
+/// service times.
 #[must_use]
 pub fn sweep_config() -> ServeConfig {
     ServeConfig {

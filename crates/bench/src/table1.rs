@@ -233,7 +233,7 @@ mod tests {
             // The paper reports ~10x; this reproduction's adders are not the
             // minimum-latency early-output designs of its reference [6], so
             // the advantage is smaller — but the dual-rail design must still
-            // win on average latency (see EXPERIMENTS.md for the analysis).
+            // win on average latency (ROADMAP.md item 8 accounts for the gap).
             let speedup = table.latency_speedup(kind).unwrap();
             assert!(
                 speedup > 1.02,

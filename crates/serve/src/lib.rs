@@ -8,9 +8,12 @@
 //! **service**: individual requests arrive on a deterministic virtual
 //! clock, a dynamic micro-batcher coalesces them (flush when 64 lanes
 //! fill **or** a max-wait deadline expires, amortising the batch path
-//! without unbounded queueing delay), admission control bounds the
-//! queue (block or shed, sheds counted), and the event loop calls the
-//! pluggable [`Backend`] inline, on its own thread, once per batch.
+//! without unbounded queueing delay, **or** at once on a free server
+//! when arrivals come too far apart for a companion to be expected
+//! within the wait, since waiting would then amortise nothing),
+//! admission control bounds the queue (block or shed, sheds counted),
+//! and the event loop calls the pluggable [`Backend`] inline, on its
+//! own thread, once per batch.
 //! Telemetry splits every request's **queueing delay** from its
 //! **service time** and reports p50/p95/p99 as exact order statistics
 //! ([`gatesim::LatencyReport::percentile`]) — the queueing-system
@@ -54,7 +57,7 @@
 //!     backend,
 //!     &workload,
 //!     ServeConfig {
-//!         max_wait_ns: 5_000, // flush a partial batch after 5 µs
+//!         max_wait_ns: 5_000, // wait at most 5 µs for a batch to fill
 //!         // A fixed cost model makes the whole report deterministic.
 //!         service_model: ServiceModel::Fixed { batch_ns: 200, per_request_ns: 20 },
 //!         ..ServeConfig::default()

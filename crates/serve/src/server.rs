@@ -5,8 +5,11 @@
 //!
 //! 1. requests are admitted into the bounded pending queue (or shed /
 //!    blocked — [`AdmissionPolicy`]);
-//! 2. the [`MicroBatcher`] flushes a micro-batch whenever 64 lanes fill
-//!    or the oldest request's `max_wait_ns` deadline expires;
+//! 2. the [`MicroBatcher`] flushes a micro-batch whenever 64 lanes fill,
+//!    the moment the server is free when recent arrivals are on average
+//!    more than `max_wait_ns` apart (no companion is expected within
+//!    the wait), or else when the oldest request's `max_wait_ns`
+//!    deadline expires;
 //! 3. each batch goes straight to [`Backend::serve`] on the thread that
 //!    runs the server — the loop waits for every answer anyway, so a
 //!    worker thread would only add hand-offs;
@@ -82,6 +85,10 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Longest a request may wait for its batch to fill before the
     /// batcher flushes anyway (the deadline is anchored on arrival).
+    /// It is a cap, not a fixed wait: when the session's recent
+    /// arrivals are on average more than `max_wait_ns` apart, a partial
+    /// batch departs as soon as the server is free (see
+    /// [`MicroBatcher::next_flush_ns`]).
     pub max_wait_ns: u64,
     /// Service-time source for the virtual clock.
     pub service_model: ServiceModel,
@@ -95,8 +102,8 @@ pub struct ServeConfig {
 }
 
 impl Default for ServeConfig {
-    /// 256-deep shed queue, 64-lane batches, a 100 µs batching
-    /// deadline, measured service times.
+    /// 256-deep shed queue, 64-lane batches, a batching wait capped at
+    /// 100 µs, measured service times.
     fn default() -> Self {
         Self {
             queue_capacity: 256,
@@ -544,7 +551,11 @@ impl<S: ArrivalSource, B: Backend> Session<'_, '_, S, B> {
                     sample: pending.sample,
                 });
             }
-            let queue_ns = flush_ns - pending.arrival_ns;
+            let Some(queue_ns) = flush_ns.checked_sub(pending.arrival_ns) else {
+                return Err(ServeError::SchedulerInvariant {
+                    what: "a batch was flushed before one of its requests arrived",
+                });
+            };
             if let Some(tracer) = self.tracer.as_deref_mut() {
                 tracer.request_served(
                     pending.id,
@@ -648,6 +659,62 @@ mod tests {
         assert_eq!(first, second);
         let threaded = run(3);
         assert_eq!(first, threaded);
+    }
+
+    #[test]
+    fn an_idle_server_serves_a_sparse_stream_without_waiting_out_the_deadline() {
+        // `serve_low`'s shape: Poisson arrivals at 250 req/s (4 ms apart
+        // on average) against a 50 µs batching wait and a 45 µs call.
+        let (_, model, workload) = fixture();
+        let max_wait_ns = 50_000;
+        let service_ns = 45_000;
+        let config = ServeConfig {
+            max_wait_ns,
+            service_model: ServiceModel::Fixed {
+                batch_ns: service_ns,
+                per_request_ns: 0,
+            },
+            ..fixed_config()
+        };
+        let trace = Trace::poisson(2000, 250.0, 5);
+        // The first 64 arrivals (the batcher's window) are each more than
+        // one wait apart, so the window reads sparse from the second
+        // request on.
+        assert!(trace.arrivals()[..64]
+            .windows(2)
+            .all(|w| w[1] - w[0] > max_wait_ns));
+        let run = |threads: usize| {
+            let backend = crate::backend::ParallelBatchBackend::new(
+                &model,
+                workload.masks().clone(),
+                threads,
+            )
+            .unwrap();
+            Server::new(backend, &workload, config)
+                .unwrap()
+                .run(&trace)
+                .unwrap()
+        };
+        let report = run(1);
+        assert_eq!(report.served_count(), 2000);
+        // The session's first request has no rate to go by: it waits out
+        // its deadline on an idle server.
+        assert_eq!(report.served[0].queue_ns, max_wait_ns);
+        for record in &report.served[1..] {
+            // A request that finds the server idle leaves at once...
+            let previous = &report.batches[record.batch - 1];
+            if record.arrival_ns >= previous.flush_ns + previous.service_ns {
+                assert_eq!(record.queue_ns, 0, "request {}", record.id);
+            }
+            // ...and one that finds it busy waits for the current call
+            // to end, never for the deadline.
+            assert!(record.queue_ns <= service_ns, "request {}", record.id);
+        }
+        // The flush rule reads only virtual timestamps: the report does
+        // not depend on the backend's thread count.
+        for threads in [2, 7] {
+            assert_eq!(run(threads), report, "threads {threads}");
+        }
     }
 
     /// Counts its calls through an `Rc`, so it is not `Send`, and

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // 2. Measure this host's serving capacity with a closed loop: 256
     //    clients keep the 64-lane batches full.
     let serve_config = ServeConfig {
-        max_wait_ns: 50_000, // flush a partial batch after 50 µs
+        max_wait_ns: 50_000, // wait at most 50 µs for a batch to fill
         ..ServeConfig::default()
     };
     let backend = BatchBackend::new(&model, workload.masks().clone())?;
@@ -47,7 +47,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     // 3. A Poisson stream at half capacity: everything is served, the
-    //    queueing tail is the price of batching (bounded by max_wait).
+    //    queueing tail is the price of batching (bounded by max_wait,
+    //    since arrivals this dense always expect a companion within
+    //    the wait).
     //    Measured service times follow host load, so the zero-shed check
     //    replays the trace with every batch priced at the closed loop's
     //    mean batch service time.
