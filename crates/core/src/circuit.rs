@@ -240,6 +240,25 @@ impl DualRailNetlist {
 }
 
 #[cfg(test)]
+impl DualRailNetlist {
+    /// Declares a dual-rail primary input with the given spacer
+    /// polarity ([`DualRailNetlist::add_dual_input`] always uses the
+    /// all-zero spacer), for tests of polarity-dependent drives.
+    pub(crate) fn add_dual_input_with_polarity(
+        &mut self,
+        name: &str,
+        polarity: SpacerPolarity,
+    ) -> DualRailSignal {
+        let signal = DualRailSignal {
+            polarity,
+            ..self.add_dual_input(name)
+        };
+        self.inputs.last_mut().expect("an input was just added").1 = signal;
+        signal
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

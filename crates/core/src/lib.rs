@@ -82,6 +82,7 @@
 
 pub mod circuit;
 pub mod completion;
+mod cycle;
 pub mod encoding;
 pub mod error;
 pub mod expand;

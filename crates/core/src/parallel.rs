@@ -121,7 +121,6 @@ pub struct ParallelProtocolDriver<'a> {
     /// Canonical quiescent state, captured once from a settled reference
     /// driver and verified by every worker after every cycle.
     snapshot: Arc<[Logic]>,
-    check_monotonic: bool,
     /// Shared metrics registry + prefix; when set, every worker driver
     /// attaches protocol- and engine-level instruments under identical
     /// names, so commutative adds make snapshots thread-count
@@ -163,7 +162,6 @@ impl<'a> ParallelProtocolDriver<'a> {
             program,
             executor: Executor::new(threads),
             snapshot,
-            check_monotonic: true,
             metrics: None,
         })
     }
@@ -215,13 +213,6 @@ impl<'a> ParallelProtocolDriver<'a> {
         &self.snapshot
     }
 
-    /// Disables the per-phase monotonicity check on every worker (for
-    /// ablation experiments; see
-    /// [`ProtocolDriver::set_monotonicity_check`]).
-    pub fn set_monotonicity_check(&mut self, enabled: bool) {
-        self.check_monotonic = enabled;
-    }
-
     /// Runs one full four-phase cycle per operand (one `Vec<bool>` with
     /// one bit per dual-rail input, in declaration order) on the
     /// bit-sliced event kernel: the operand stream is cut into words of
@@ -270,7 +261,7 @@ impl<'a> ParallelProtocolDriver<'a> {
                     self.circuit,
                     sim,
                     Arc::clone(&self.snapshot),
-                    self.check_monotonic,
+                    true,
                 )?;
                 if let Some((_, protocol)) = &metrics {
                     driver.attach_protocol_metrics(protocol.clone());
@@ -332,7 +323,6 @@ impl<'a> ParallelProtocolDriver<'a> {
                 }
                 let mut driver =
                     PipelinedProtocolDriver::from_simulator(self.circuit, sim, config)?;
-                driver.set_monotonicity_check(self.check_monotonic);
                 if let Some((_, protocol)) = &metrics {
                     driver.attach_protocol_metrics(protocol.clone());
                 }

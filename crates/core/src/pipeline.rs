@@ -83,7 +83,7 @@ use gatesim::{Logic, Simulator, StepOutcome};
 use netlist::{CellKind, NetId};
 
 use crate::protocol::ProtocolDriver;
-use crate::{DualRailError, DualRailNetlist, DualRailValue, OneOfNValue, OperandResult};
+use crate::{cycle, DualRailError, DualRailNetlist, DualRailValue, OperandResult};
 
 /// Slack allowed between a replayed transition time and its
 /// schedule-shifted profile time: the replay accumulates delays on one
@@ -185,17 +185,6 @@ impl TokenProfile {
     }
 }
 
-/// The serial driver's non-monotonic-switching violation, raised by the
-/// profiling pass for *any* net: wavefront scheduling fundamentally
-/// rests on monotonic per-phase switching (Requirement 2) on every net,
-/// not just the observed ones — a glitching net has no well-defined
-/// rise/fall profile to schedule against.
-fn non_monotonic(net: NetId, delta: u64) -> DualRailError {
-    DualRailError::ProtocolViolation {
-        description: format!("net {net} switched {delta} times in one phase (non-monotonic)"),
-    }
-}
-
 /// Per-slice transition recorder over the watched nets (observed
 /// outputs, probes and `done`): the replay's record, matched after the
 /// drain against the schedule-shifted profiles.  Nets whose quiescent
@@ -270,9 +259,9 @@ fn run_slices_until(
     Ok(())
 }
 
-/// Decodes one token from its serial profile, replicating the serial
-/// driver's codeword rules and latency definitions exactly; the
-/// pipelined `cycle_time_ps` comes from the schedule.
+/// Decodes one token from its serial profile under the serial driver's
+/// end-of-valid check and latency definitions; the pipelined
+/// `cycle_time_ps` comes from the schedule.
 fn assemble_token(
     circuit: &DualRailNetlist,
     snapshot: &[Logic],
@@ -292,65 +281,8 @@ fn assemble_token(
         }
     };
 
-    let mut outputs = Vec::new();
-    for (name, signal) in circuit.dual_outputs() {
-        let value = DualRailValue::decode(
-            level(signal.positive),
-            level(signal.negative),
-            signal.polarity,
-        );
-        match value {
-            DualRailValue::Valid(bit) => outputs.push(bit),
-            DualRailValue::Forbidden => {
-                return Err(DualRailError::IllegalCodeword {
-                    output: name.clone(),
-                    description: "both rails are active when a valid codeword was expected"
-                        .to_string(),
-                })
-            }
-            other => {
-                return Err(DualRailError::ProtocolViolation {
-                    description: format!(
-                        "output {name:?} is {other:?} when a valid codeword was expected"
-                    ),
-                })
-            }
-        }
-    }
-    let mut one_of_n = Vec::new();
-    for (name, wires) in circuit.one_of_n_outputs() {
-        let values: Vec<Logic> = wires.iter().map(|&w| level(w)).collect();
-        match OneOfNValue::decode(&values) {
-            OneOfNValue::Valid(index) => one_of_n.push((name.clone(), index)),
-            OneOfNValue::Forbidden => {
-                return Err(DualRailError::IllegalCodeword {
-                    output: name.clone(),
-                    description:
-                        "more than one 1-of-n wire is active when a valid codeword was expected"
-                            .to_string(),
-                })
-            }
-            other => {
-                return Err(DualRailError::ProtocolViolation {
-                    description: format!(
-                        "1-of-n output {name:?} is {other:?} when a valid codeword was expected"
-                    ),
-                })
-            }
-        }
-    }
-    let probes = circuit
-        .probes()
-        .iter()
-        .map(|(name, signal)| {
-            let value = DualRailValue::decode(
-                level(signal.positive),
-                level(signal.negative),
-                signal.polarity,
-            );
-            (name.clone(), value)
-        })
-        .collect();
+    let (outputs, one_of_n) = cycle::check_valid(circuit, level)?;
+    let probes = cycle::decode_probes(circuit, level);
 
     let mut s_to_v = 0.0f64;
     let mut v_to_s = 0.0f64;
@@ -360,17 +292,10 @@ fn assemble_token(
             v_to_s = v_to_s.max(fall);
         }
     }
-    let done_latency_ps = match circuit.done() {
-        Some(done) => match profile.activation(done) {
-            Some((rise, _)) => Some(rise),
-            None => {
-                return Err(DualRailError::ProtocolViolation {
-                    description: "done failed to rise after a valid codeword".to_string(),
-                })
-            }
-        },
-        None => None,
-    };
+    let done_latency_ps = circuit
+        .done()
+        .and_then(|done| profile.activation(done))
+        .map(|(rise, _)| rise);
 
     Ok(OperandResult {
         outputs,
@@ -585,12 +510,6 @@ impl<'a> PipelinedProtocolDriver<'a> {
         self.inner.set_time_horizon_ps(horizon_ps);
     }
 
-    /// Disables the train-level transition-count audit (and, at
-    /// occupancy 1, the delegated per-phase monotonicity check).
-    pub fn set_monotonicity_check(&mut self, enabled: bool) {
-        self.inner.set_monotonicity_check(enabled);
-    }
-
     /// Attaches the dual-rail instrument set (see
     /// [`ProtocolDriver::attach_metrics`]); the pipelined schedule
     /// additionally counts injection-gate stall slices under
@@ -708,7 +627,6 @@ impl<'a> PipelinedProtocolDriver<'a> {
 
         let circuit = self.inner.circuit();
         let observed = circuit.observed_output_nets();
-        let done_net = circuit.done();
         let watched = watched_nets(circuit);
         let stage: Vec<(NetId, Logic)> = self
             .stage_nets
@@ -827,14 +745,7 @@ impl<'a> PipelinedProtocolDriver<'a> {
 
         // Train-end state audit: the circuit must be back in the
         // canonical spacer state with `done` low.
-        self.inner.check_outputs_at_spacer()?;
-        if let Some(done) = done_net {
-            if !self.inner.sim().value(done).is_zero() {
-                return Err(DualRailError::ProtocolViolation {
-                    description: "done failed to fall after the spacer phase".to_string(),
-                });
-            }
-        }
+        cycle::check_spacer(circuit, |net| self.inner.sim().value(net))?;
         self.inner.verify_spacer_state()?;
 
         // Decode from the verified profiles.  Phase-relative activation
@@ -856,11 +767,9 @@ impl<'a> PipelinedProtocolDriver<'a> {
                 )
             })
             .collect::<Result<Vec<_>, _>>()?;
-        if self.inner.monotonicity_check() {
-            audit_transition_counts(circuit, &self.snapshot, &results, |net| {
-                self.inner.sim().net_transitions(net)
-            })?;
-        }
+        audit_transition_counts(circuit, &self.snapshot, &results, |net| {
+            self.inner.sim().net_transitions(net)
+        })?;
         let drained_at: Vec<f64> = spacer_at
             .iter()
             .zip(&profiles)
@@ -906,14 +815,9 @@ impl<'a> PipelinedProtocolDriver<'a> {
         if !self.inner.sim_mut().run_until_quiescent().is_quiescent() {
             return Err(DualRailError::SimulationDiverged);
         }
-        self.inner.decode_outputs()?;
-        if let Some(done) = circuit.done() {
-            if !self.inner.sim().value(done).is_one() {
-                return Err(DualRailError::ProtocolViolation {
-                    description: "done failed to rise after a valid codeword".to_string(),
-                });
-            }
-        }
+        cycle::check_valid(circuit, |net| self.inner.sim().value(net))?;
+        // Every net must switch monotonically, not just the observed
+        // ones: a glitching net has no rise and fall to schedule against.
         let mut rise_rel_ps = vec![f64::INFINITY; net_count];
         let mut counts = vec![0u64; net_count];
         {
@@ -924,7 +828,7 @@ impl<'a> PipelinedProtocolDriver<'a> {
                 match *count {
                     0 => {}
                     1 => *rise = sim.last_change_ps(net).unwrap_or(f64::INFINITY),
-                    delta => return Err(non_monotonic(net, delta)),
+                    delta => return Err(cycle::non_monotonic(net, delta)),
                 }
             }
         }
@@ -935,14 +839,7 @@ impl<'a> PipelinedProtocolDriver<'a> {
         if !self.inner.sim_mut().run_until_quiescent().is_quiescent() {
             return Err(DualRailError::SimulationDiverged);
         }
-        self.inner.check_outputs_at_spacer()?;
-        if let Some(done) = circuit.done() {
-            if !self.inner.sim().value(done).is_zero() {
-                return Err(DualRailError::ProtocolViolation {
-                    description: "done failed to fall after the spacer phase".to_string(),
-                });
-            }
-        }
+        cycle::check_spacer(circuit, |net| self.inner.sim().value(net))?;
         let mut fall_rel_ps = vec![f64::INFINITY; net_count];
         let mut drain_rel_ps = 0.0f64;
         {
@@ -956,7 +853,7 @@ impl<'a> PipelinedProtocolDriver<'a> {
                         *fall = t;
                         drain_rel_ps = drain_rel_ps.max(t);
                     }
-                    delta => return Err(non_monotonic(net, delta)),
+                    delta => return Err(cycle::non_monotonic(net, delta)),
                 }
             }
         }

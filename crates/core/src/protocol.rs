@@ -17,7 +17,9 @@
 //! The driver additionally checks protocol invariants along the way:
 //! outputs must never enter the forbidden state, and during each phase
 //! every observed rail may switch at most once (monotonic switching,
-//! Requirement 2/3).
+//! Requirement 2/3).  The drives and the end-of-phase checks are the
+//! crate's one set of cycle rules (the private `cycle` module), which
+//! the word and pipelined drivers apply too.
 //!
 //! # The reset-phase sharding contract
 //!
@@ -43,19 +45,7 @@ use gatesim::{EngineProgram, FaultPlan, Logic, Simulator};
 use netlist::NetId;
 use sta::GracePeriod;
 
-use crate::{DualRailError, DualRailNetlist, DualRailValue, OneOfNValue};
-
-/// Decoded primary outputs of one protocol cycle: the dual-rail output
-/// bits in declaration order, plus each 1-of-n group's name and active
-/// index.
-pub(crate) type DecodedOutputs = (Vec<bool>, Vec<(String, usize)>);
-
-/// Rounds a picosecond duration to the whole-ps integer the histogram
-/// instruments record (phase durations are non-negative by protocol).
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-pub(crate) fn whole_ps(ps: f64) -> u64 {
-    ps.round().max(0.0) as u64
-}
+use crate::{cycle, DualRailError, DualRailNetlist, DualRailValue};
 
 /// Measurements and decoded results for one operand (one full
 /// valid/spacer cycle).
@@ -91,7 +81,6 @@ pub struct ProtocolDriver<'a> {
     circuit: &'a DualRailNetlist,
     sim: Simulator<'a>,
     grace: Option<GracePeriod>,
-    check_monotonic: bool,
     /// Canonical quiescent snapshot of every net; `Some` switches the
     /// driver into the reset-phase sharding contract (per-operand time
     /// rebasing + per-cycle spacer-state verification).
@@ -172,7 +161,6 @@ impl<'a> ProtocolDriver<'a> {
             circuit,
             sim,
             grace: None,
-            check_monotonic: true,
             reset_contract: None,
             phase_rebase: false,
             metrics: None,
@@ -265,23 +253,12 @@ impl<'a> ProtocolDriver<'a> {
             .position(|(c, s)| c != s)
         {
             None => Ok(()),
-            Some(i) => Err(DualRailError::SpacerStateMismatch {
-                description: format!(
-                    "net {} settled to {:?} after the return-to-zero phase but the \
-                     quiescent snapshot holds {:?}; the post-cycle state depends \
-                     on operand history, so this circuit cannot be sharded",
-                    NetId::from_index(i),
-                    current[i],
-                    snapshot[i]
-                ),
-            }),
+            Some(i) => Err(cycle::spacer_state_mismatch(
+                NetId::from_index(i),
+                current[i],
+                snapshot[i],
+            )),
         }
-    }
-
-    /// Disables the per-phase monotonicity check (useful for ablation
-    /// experiments that intentionally violate the methodology).
-    pub fn set_monotonicity_check(&mut self, enabled: bool) {
-        self.check_monotonic = enabled;
     }
 
     /// Caps the events processed per settle phase, bounding how long
@@ -465,122 +442,18 @@ impl<'a> ProtocolDriver<'a> {
         &mut self.sim
     }
 
-    /// Whether the per-phase monotonicity check is enabled.
-    pub(crate) fn monotonicity_check(&self) -> bool {
-        self.check_monotonic
-    }
-
-    /// The optional request input: circuits with C-element input latches
-    /// expose a primary input named `req` which the environment asserts
-    /// together with valid data and deasserts together with the spacer.
-    pub(crate) fn request_input(&self) -> Option<NetId> {
-        self.circuit
-            .netlist()
-            .find_net("req")
-            .filter(|&n| self.circuit.netlist().is_primary_input(n))
-    }
-
     pub(crate) fn drive_spacer(&mut self) {
-        if let Some(req) = self.request_input() {
-            self.sim.set_input(req, Logic::Zero);
-        }
-        for (_, signal) in self.circuit.dual_inputs() {
-            let (p, n) = DualRailValue::encode_spacer(signal.polarity);
-            self.sim.set_input(signal.positive, Logic::from(p));
-            self.sim.set_input(signal.negative, Logic::from(n));
+        let req = cycle::request_input(self.circuit);
+        for (net, level) in cycle::spacer_drive(self.circuit, req) {
+            self.sim.set_input(net, Logic::from(level));
         }
     }
 
     pub(crate) fn drive_valid(&mut self, bits: &[bool]) {
-        if let Some(req) = self.request_input() {
-            self.sim.set_input(req, Logic::One);
+        let req = cycle::request_input(self.circuit);
+        for (net, level) in cycle::valid_drive(self.circuit, req, bits) {
+            self.sim.set_input(net, Logic::from(level));
         }
-        for ((_, signal), &bit) in self.circuit.dual_inputs().iter().zip(bits) {
-            let (p, n) = DualRailValue::encode_valid(bit, signal.polarity);
-            self.sim.set_input(signal.positive, Logic::from(p));
-            self.sim.set_input(signal.negative, Logic::from(n));
-        }
-    }
-
-    pub(crate) fn decode_outputs(&self) -> Result<DecodedOutputs, DualRailError> {
-        let mut outputs = Vec::new();
-        for (name, signal) in self.circuit.dual_outputs() {
-            let value = DualRailValue::decode(
-                self.sim.value(signal.positive),
-                self.sim.value(signal.negative),
-                signal.polarity,
-            );
-            match value {
-                DualRailValue::Valid(bit) => outputs.push(bit),
-                DualRailValue::Forbidden => {
-                    return Err(DualRailError::IllegalCodeword {
-                        output: name.clone(),
-                        description: "both rails are active when a valid codeword was expected"
-                            .to_string(),
-                    })
-                }
-                other => {
-                    return Err(DualRailError::ProtocolViolation {
-                        description: format!(
-                            "output {name:?} is {other:?} when a valid codeword was expected"
-                        ),
-                    })
-                }
-            }
-        }
-        let mut groups = Vec::new();
-        for (name, wires) in self.circuit.one_of_n_outputs() {
-            let values: Vec<Logic> = wires.iter().map(|&w| self.sim.value(w)).collect();
-            match OneOfNValue::decode(&values) {
-                OneOfNValue::Valid(index) => groups.push((name.clone(), index)),
-                OneOfNValue::Forbidden => {
-                    return Err(DualRailError::IllegalCodeword {
-                        output: name.clone(),
-                        description:
-                            "more than one 1-of-n wire is active when a valid codeword was expected"
-                                .to_string(),
-                    })
-                }
-                other => {
-                    return Err(DualRailError::ProtocolViolation {
-                        description: format!(
-                            "1-of-n output {name:?} is {other:?} when a valid codeword was expected"
-                        ),
-                    })
-                }
-            }
-        }
-        Ok((outputs, groups))
-    }
-
-    pub(crate) fn check_outputs_at_spacer(&self) -> Result<(), DualRailError> {
-        for (name, signal) in self.circuit.dual_outputs() {
-            let value = DualRailValue::decode(
-                self.sim.value(signal.positive),
-                self.sim.value(signal.negative),
-                signal.polarity,
-            );
-            if value == DualRailValue::Forbidden {
-                return Err(DualRailError::IllegalCodeword {
-                    output: name.clone(),
-                    description: "both rails are active after the spacer phase".to_string(),
-                });
-            }
-            if value != DualRailValue::Spacer {
-                return Err(DualRailError::ProtocolViolation {
-                    description: format!("output {name:?} is {value:?} after the spacer phase"),
-                });
-            }
-        }
-        for (name, wires) in self.circuit.one_of_n_outputs() {
-            let values: Vec<Logic> = wires.iter().map(|&w| self.sim.value(w)).collect();
-            if OneOfNValue::decode(&values) != OneOfNValue::Spacer {
-                return Err(DualRailError::ProtocolViolation {
-                    description: format!("1-of-n output {name:?} did not return to spacer"),
-                });
-            }
-        }
-        Ok(())
     }
 
     /// Elapsed time from `since_ps` to the latest change any of `nets`
@@ -590,13 +463,8 @@ impl<'a> ProtocolDriver<'a> {
     /// timestamp as this phase's latency was exactly the
     /// `done_latency_ps` staleness bug.
     pub(crate) fn latest_change_since(&self, nets: &[NetId], since_ps: f64) -> Option<f64> {
-        nets.iter()
-            .filter_map(|&n| self.sim.last_change_ps(n))
-            .filter(|&t| t >= since_ps)
-            .fold(None, |acc: Option<f64>, t| {
-                Some(acc.map_or(t, |best| best.max(t)))
-            })
-            .map(|t| t - since_ps)
+        let changes = nets.iter().filter_map(|&n| self.sim.last_change_ps(n));
+        cycle::latest(changes.filter(|&t| t >= since_ps)).map(|t| t - since_ps)
     }
 
     fn check_monotonic_phase(
@@ -604,9 +472,6 @@ impl<'a> ProtocolDriver<'a> {
         nets: &[NetId],
         transitions_before: &[u64],
     ) -> Result<(), DualRailError> {
-        if !self.check_monotonic {
-            return Ok(());
-        }
         for (i, &net) in nets.iter().enumerate() {
             // Saturate rather than subtract: if the transition counters
             // are ever rebased between the snapshot and this check
@@ -617,11 +482,7 @@ impl<'a> ProtocolDriver<'a> {
                 .net_transitions(net)
                 .saturating_sub(transitions_before[i]);
             if delta > 1 {
-                return Err(DualRailError::ProtocolViolation {
-                    description: format!(
-                        "net {net} switched {delta} times in one phase (non-monotonic)"
-                    ),
-                });
+                return Err(cycle::non_monotonic(net, delta));
             }
         }
         Ok(())
@@ -676,25 +537,17 @@ impl<'a> ProtocolDriver<'a> {
         if !self.sim.run_until_quiescent().is_quiescent() {
             return Err(DualRailError::SimulationDiverged);
         }
-        let (outputs, one_of_n) = self.decode_outputs()?;
-        let probes = self.decode_probes();
+        let (outputs, one_of_n) = cycle::check_valid(self.circuit, |net| self.sim.value(net))?;
+        let probes = cycle::decode_probes(self.circuit, |net| self.sim.value(net));
         let s_to_v_latency_ps = self.latest_change_since(&observed, t0).unwrap_or(0.0);
-        // `done` must have *moved* this cycle to count: a `done` net
-        // that was already high before `t0` (stale from an earlier
-        // cycle) used to report `last_change - t0` — a bogus
-        // non-positive latency.
+        // `done` is high (`check_valid` checked it) but counts only if it
+        // *moved* this cycle: a `done` net that was already high before
+        // `t0` (stale from an earlier cycle) used to report
+        // `last_change - t0` — a bogus non-positive latency.
         let done_latency_ps = self
             .circuit
             .done()
-            .filter(|&done| self.sim.value(done).is_one())
             .and_then(|done| self.latest_change_since(&[done], t0));
-        if let Some(done) = self.circuit.done() {
-            if !self.sim.value(done).is_one() {
-                return Err(DualRailError::ProtocolViolation {
-                    description: "done failed to rise after a valid codeword".to_string(),
-                });
-            }
-        }
         self.check_monotonic_phase(&observed, &transitions_before)?;
 
         // Phase 2: valid -> spacer (return-to-zero).
@@ -719,14 +572,7 @@ impl<'a> ProtocolDriver<'a> {
         if !self.sim.run_until_quiescent().is_quiescent() {
             return Err(DualRailError::SimulationDiverged);
         }
-        self.check_outputs_at_spacer()?;
-        if let Some(done) = self.circuit.done() {
-            if !self.sim.value(done).is_zero() {
-                return Err(DualRailError::ProtocolViolation {
-                    description: "done failed to fall after the spacer phase".to_string(),
-                });
-            }
-        }
+        cycle::check_spacer(self.circuit, |net| self.sim.value(net))?;
         let v_to_s_latency_ps = self
             .latest_change_since(&observed, spacer_since)
             .unwrap_or(0.0);
@@ -740,18 +586,12 @@ impl<'a> ProtocolDriver<'a> {
         } else {
             self.sim.now_ps() - t0
         };
-        if let Some(metrics) = self.metrics.as_deref() {
-            metrics.cycles.inc();
-            metrics
-                .spacer_to_valid_ps
-                .record(whole_ps(s_to_v_latency_ps));
-            metrics
-                .valid_to_spacer_ps
-                .record(whole_ps(v_to_s_latency_ps));
-            if self.reset_contract.is_some() {
-                metrics.spacer_verify_passes.inc();
-            }
-        }
+        cycle::record_cycle(
+            self.metrics.as_deref(),
+            s_to_v_latency_ps,
+            v_to_s_latency_ps,
+            self.reset_contract.is_some(),
+        );
         Ok(OperandResult {
             outputs,
             one_of_n,
@@ -761,24 +601,6 @@ impl<'a> ProtocolDriver<'a> {
             cycle_time_ps,
             probes,
         })
-    }
-
-    /// Decodes every declared probe signal at the current (settled
-    /// valid) state.  Probes carry no protocol obligations, so any
-    /// codeword — including spacer and forbidden — is recorded as-is.
-    pub(crate) fn decode_probes(&self) -> Vec<(String, DualRailValue)> {
-        self.circuit
-            .probes()
-            .iter()
-            .map(|(name, signal)| {
-                let value = DualRailValue::decode(
-                    self.sim.value(signal.positive),
-                    self.sim.value(signal.negative),
-                    signal.polarity,
-                );
-                (name.clone(), value)
-            })
-            .collect()
     }
 }
 

@@ -43,12 +43,15 @@
 //! # Error semantics
 //!
 //! [`SlicedProtocolDriver::apply_word`] returns one
-//! `Result<OperandResult, DualRailError>` per lane, running the scalar
-//! check order within each lane (decode → `done` rise → monotonicity →
-//! spacer return → `done` fall → reset-phase verification) and
-//! reporting each lane's **first** failure.  Divergence (oscillation
-//! past the event limit) is the one word-global failure mode: lanes
-//! share the event budget, so a runaway lane aborts the whole word.
+//! `Result<OperandResult, DualRailError>` per lane, reporting each
+//! lane's **first** failure.  Within a lane the checks run in the
+//! scalar driver's order and with its error texts, because both apply
+//! the crate's one set of cycle rules (the private `cycle` module): the
+//! end-of-valid check (decode, then `done` rise) → monotonicity → the
+//! end-of-spacer check (spacer return, then `done` fall) → reset-phase
+//! verification.  Divergence (oscillation past the event limit) is the
+//! one word-global failure mode: lanes share the event budget, so a
+//! runaway lane aborts the whole word.
 
 use std::sync::Arc;
 
@@ -56,7 +59,7 @@ use gatesim::{lane_mask, ArrivalProgram, ArrivalRun, Logic, SlicedSimulator};
 use netlist::{NetId, LANES};
 
 use crate::protocol::ProtocolDriver;
-use crate::{DualRailError, DualRailNetlist, DualRailValue, OneOfNValue, OperandResult};
+use crate::{cycle, DualRailError, DualRailNetlist, DualRailValue, OperandResult};
 
 const FULL: u64 = !0u64;
 
@@ -77,10 +80,6 @@ const FULL: u64 = !0u64;
 /// 1517–1714 µs at 64 lanes (0.75–0.80x).  The kernels cross near
 /// 44–48 lanes; 32 keeps a margin.
 pub(crate) const ARRIVAL_MAX_LANES: usize = 32;
-
-/// One lane's decoded outputs: the dual-rail output bits plus the
-/// decoded 1-of-n group selections.
-type DecodedOutputs = (Vec<bool>, Vec<(String, usize)>);
 
 /// Drives a dual-rail netlist through four-phase cycles 64 operand
 /// lanes at a time.  See the [module documentation](self) for the
@@ -159,6 +158,16 @@ impl<'a> SlicedProtocolDriver<'a> {
     /// wave probe, or event limit or time horizon; while its words run
     /// on the arrival kernel it is never primed.
     ///
+    /// `check_monotonic` turns the per-phase monotonicity check on the
+    /// observed outputs on or off.  On, a lane whose output rail
+    /// switches more than once in a phase fails with the scalar
+    /// driver's non-monotonic [`DualRailError::ProtocolViolation`]; off,
+    /// the lane is judged by its settled outputs alone.  An arrival pass
+    /// moves each net at most once per phase, so the setting matters
+    /// only on the event kernel.  Pass `true` unless a measurement
+    /// needs the check off, as the E7 fault campaign's `dualrail_sliced`
+    /// row does.
+    ///
     /// # Errors
     ///
     /// Returns [`DualRailError::SpacerStateMismatch`] if the snapshot
@@ -191,18 +200,13 @@ impl<'a> SlicedProtocolDriver<'a> {
                 ),
             });
         }
-        let observed = circuit.observed_output_nets();
-        let req = circuit
-            .netlist()
-            .find_net("req")
-            .filter(|&n| circuit.netlist().is_primary_input(n));
         let mut driver = Self {
             circuit,
             sim,
             check_monotonic,
             snapshot,
-            observed,
-            req,
+            observed: circuit.observed_output_nets(),
+            req: cycle::request_input(circuit),
             metrics: None,
             faulted: false,
             primed: false,
@@ -213,8 +217,7 @@ impl<'a> SlicedProtocolDriver<'a> {
         // An arrival lane proves the snapshot a fixed point without X,
         // and spacer inputs leave the settle nothing to move (see the
         // rustdoc above), so such a driver's priming is deferred.
-        let at_spacer = driver
-            .spacer_levels()
+        let at_spacer = cycle::spacer_drive(circuit, driver.req)
             .all(|(net, level)| driver.snapshot[net.index()] == Logic::from(level));
         if !(driver.arrival.is_some() && at_spacer && driver.arrival_eligible()) {
             driver.prime()?;
@@ -373,18 +376,8 @@ impl<'a> SlicedProtocolDriver<'a> {
         Ok(())
     }
 
-    /// The spacer drive as `(input, level)`: `req` low, then both rails
-    /// of every dual input at their spacer levels, in declaration order.
-    fn spacer_levels(&self) -> impl Iterator<Item = (NetId, bool)> + 'a {
-        let inputs = self.circuit.dual_inputs().iter().flat_map(|(_, signal)| {
-            let (p, n) = DualRailValue::encode_spacer(signal.polarity);
-            [(signal.positive, p), (signal.negative, n)]
-        });
-        self.req.map(|req| (req, false)).into_iter().chain(inputs)
-    }
-
     fn drive_spacer_planes(&mut self) {
-        for (net, level) in self.spacer_levels() {
+        for (net, level) in cycle::spacer_drive(self.circuit, self.req) {
             self.sim
                 .set_input_planes(net, if level { FULL } else { 0 }, 0, FULL);
         }
@@ -424,123 +417,15 @@ impl<'a> SlicedProtocolDriver<'a> {
         }
     }
 
-    /// Decodes the outputs under the per-net `value` (one lane's view)
-    /// when a valid codeword is expected.
-    fn decode_outputs(
-        &self,
-        value: impl Fn(NetId) -> Logic,
-    ) -> Result<DecodedOutputs, DualRailError> {
-        let mut outputs = Vec::new();
-        for (name, signal) in self.circuit.dual_outputs() {
-            let decoded = DualRailValue::decode(
-                value(signal.positive),
-                value(signal.negative),
-                signal.polarity,
-            );
-            match decoded {
-                DualRailValue::Valid(bit) => outputs.push(bit),
-                DualRailValue::Forbidden => {
-                    return Err(DualRailError::IllegalCodeword {
-                        output: name.clone(),
-                        description: "both rails are active when a valid codeword was expected"
-                            .to_string(),
-                    })
-                }
-                other => {
-                    return Err(DualRailError::ProtocolViolation {
-                        description: format!(
-                            "output {name:?} is {other:?} when a valid codeword was expected"
-                        ),
-                    })
-                }
-            }
-        }
-        let mut groups = Vec::new();
-        for (name, wires) in self.circuit.one_of_n_outputs() {
-            let values: Vec<Logic> = wires.iter().map(|&w| value(w)).collect();
-            match OneOfNValue::decode(&values) {
-                OneOfNValue::Valid(index) => groups.push((name.clone(), index)),
-                OneOfNValue::Forbidden => {
-                    return Err(DualRailError::IllegalCodeword {
-                        output: name.clone(),
-                        description:
-                            "more than one 1-of-n wire is active when a valid codeword was expected"
-                                .to_string(),
-                    })
-                }
-                other => {
-                    return Err(DualRailError::ProtocolViolation {
-                        description: format!(
-                            "1-of-n output {name:?} is {other:?} when a valid codeword was expected"
-                        ),
-                    })
-                }
-            }
-        }
-        Ok((outputs, groups))
-    }
-
-    /// Checks that every output is back at the spacer under `value`.
-    fn check_outputs_at_spacer(&self, value: impl Fn(NetId) -> Logic) -> Result<(), DualRailError> {
-        for (name, signal) in self.circuit.dual_outputs() {
-            let decoded = DualRailValue::decode(
-                value(signal.positive),
-                value(signal.negative),
-                signal.polarity,
-            );
-            if decoded == DualRailValue::Forbidden {
-                return Err(DualRailError::IllegalCodeword {
-                    output: name.clone(),
-                    description: "both rails are active after the spacer phase".to_string(),
-                });
-            }
-            if decoded != DualRailValue::Spacer {
-                return Err(DualRailError::ProtocolViolation {
-                    description: format!("output {name:?} is {decoded:?} after the spacer phase"),
-                });
-            }
-        }
-        for (name, wires) in self.circuit.one_of_n_outputs() {
-            let values: Vec<Logic> = wires.iter().map(|&w| value(w)).collect();
-            if OneOfNValue::decode(&values) != OneOfNValue::Spacer {
-                return Err(DualRailError::ProtocolViolation {
-                    description: format!("1-of-n output {name:?} did not return to spacer"),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn check_outputs_at_spacer_lane(&self, lane: usize) -> Result<(), DualRailError> {
-        self.check_outputs_at_spacer(|net| self.sim.value(net, lane))
-    }
-
-    fn decode_probes(&self, value: impl Fn(NetId) -> Logic) -> Vec<(String, DualRailValue)> {
-        self.circuit
-            .probes()
-            .iter()
-            .map(|(name, signal)| {
-                let decoded = DualRailValue::decode(
-                    value(signal.positive),
-                    value(signal.negative),
-                    signal.polarity,
-                );
-                (name.clone(), decoded)
-            })
-            .collect()
-    }
-
     /// Latest change any of `nets` made on `lane` during the current
     /// (rebased, activity-cleared) phase — the sliced counterpart of
     /// the scalar driver's `latest_change_since(nets, 0.0)`.
     fn latest_watched_change(&self, nets: &[NetId], lane: usize) -> Option<f64> {
         let bit = 1u64 << lane;
-        nets.iter()
-            .filter(|&&n| self.sim.watch_moved_mask(n) & bit != 0)
-            .map(|&n| self.sim.watch_last_change_ps(n, lane))
-            .fold(None, |acc: Option<f64>, t| {
-                Some(acc.map_or(t, |best| best.max(t)))
-            })
+        let moved = nets
+            .iter()
+            .filter(|&&n| self.sim.watch_moved_mask(n) & bit != 0);
+        cycle::latest(moved.map(|&n| self.sim.watch_last_change_ps(n, lane)))
     }
 
     fn check_monotonic_lane(&self, lane: usize) -> Result<(), DualRailError> {
@@ -550,11 +435,7 @@ impl<'a> SlicedProtocolDriver<'a> {
         for &net in &self.observed {
             let delta = self.sim.watch_transitions(net, lane);
             if delta > 1 {
-                return Err(DualRailError::ProtocolViolation {
-                    description: format!(
-                        "net {net} switched {delta} times in one phase (non-monotonic)"
-                    ),
-                });
+                return Err(cycle::non_monotonic(net, delta));
             }
         }
         Ok(())
@@ -621,8 +502,7 @@ impl<'a> SlicedProtocolDriver<'a> {
     /// limit.
     fn arrival_lane(&self) -> Option<Box<ArrivalLane>> {
         let mut driven = vec![false; self.snapshot.len()];
-        let distinct = self
-            .spacer_levels()
+        let distinct = cycle::spacer_drive(self.circuit, self.req)
             .all(|(net, _)| !std::mem::replace(&mut driven[net.index()], true));
         if !distinct {
             return None;
@@ -671,19 +551,11 @@ impl<'a> SlicedProtocolDriver<'a> {
     /// the snapshot: exactly the inputs the event kernel's drive moves.
     fn moved_inputs(&self, operand: &[bool], moved: &mut Vec<NetId>) {
         moved.clear();
-        let mut drive = |net: NetId, level: bool| {
-            if self.snapshot[net.index()] != Logic::from(level) {
-                moved.push(net);
-            }
-        };
-        if let Some(req) = self.req {
-            drive(req, true);
-        }
-        for ((_, signal), &bit) in self.circuit.dual_inputs().iter().zip(operand) {
-            let (p, n) = DualRailValue::encode_valid(bit, signal.polarity);
-            drive(signal.positive, p);
-            drive(signal.negative, n);
-        }
+        moved.extend(
+            cycle::valid_drive(self.circuit, self.req, operand)
+                .filter(|&(net, level)| self.snapshot[net.index()] != Logic::from(level))
+                .map(|(net, _)| net),
+        );
     }
 
     /// One operand's [`OperandResult`] from its arrival pass, with the
@@ -701,31 +573,13 @@ impl<'a> SlicedProtocolDriver<'a> {
             return None;
         }
         let latest = |moves: &dyn Fn(NetId) -> Option<f64>| {
-            self.observed
-                .iter()
-                .filter_map(|&net| moves(net))
-                .fold(None, |acc: Option<f64>, t| {
-                    Some(acc.map_or(t, |best| best.max(t)))
-                })
-                .unwrap_or(0.0)
+            cycle::latest(self.observed.iter().filter_map(|&net| moves(net))).unwrap_or(0.0)
         };
         let valid = |net| program.valid_value(run, net);
-        let (outputs, one_of_n) = self.decode_outputs(valid).ok()?;
-        let probes = self.decode_probes(valid);
-        let done_latency_ps = match self.circuit.done() {
-            Some(done) if !valid(done).is_one() => return None,
-            Some(done) => run.valid_move_ps(done),
-            None => None,
-        };
-        let spacer = |net: NetId| self.snapshot[net.index()];
-        self.check_outputs_at_spacer(spacer).ok()?;
-        if self
-            .circuit
-            .done()
-            .is_some_and(|done| !spacer(done).is_zero())
-        {
-            return None;
-        }
+        let (outputs, one_of_n) = cycle::check_valid(self.circuit, valid).ok()?;
+        let probes = cycle::decode_probes(self.circuit, valid);
+        let done_latency_ps = self.circuit.done().and_then(|done| run.valid_move_ps(done));
+        cycle::check_spacer(self.circuit, |net| self.snapshot[net.index()]).ok()?;
         Some(OperandResult {
             outputs,
             one_of_n,
@@ -799,7 +653,7 @@ impl<'a> SlicedProtocolDriver<'a> {
             return fail_all(errors);
         }
 
-        let mut decoded: Vec<Option<DecodedOutputs>> = vec![None; lanes];
+        let mut decoded: Vec<Option<cycle::DecodedOutputs>> = vec![None; lanes];
         let mut probes: Vec<Option<Vec<(String, DualRailValue)>>> = vec![None; lanes];
         let mut s_to_v = [0.0f64; LANES];
         let mut done_latency: [Option<f64>; LANES] = [None; LANES];
@@ -808,27 +662,22 @@ impl<'a> SlicedProtocolDriver<'a> {
             if errors[lane].is_some() {
                 continue;
             }
-            match self.decode_outputs(|net| self.sim.value(net, lane)) {
+            let value = |net| self.sim.value(net, lane);
+            match cycle::check_valid(self.circuit, value) {
                 Ok(d) => decoded[lane] = Some(d),
                 Err(e) => {
                     errors[lane] = Some(e);
                     continue;
                 }
             }
-            probes[lane] = Some(self.decode_probes(|net| self.sim.value(net, lane)));
+            probes[lane] = Some(cycle::decode_probes(self.circuit, value));
             s_to_v[lane] = self
                 .latest_watched_change(&self.observed, lane)
                 .unwrap_or(0.0);
-            if let Some(done) = self.circuit.done() {
-                if self.sim.value(done, lane).is_one() {
-                    done_latency[lane] = self.latest_watched_change(&[done], lane);
-                } else {
-                    errors[lane] = Some(DualRailError::ProtocolViolation {
-                        description: "done failed to rise after a valid codeword".to_string(),
-                    });
-                    continue;
-                }
-            }
+            done_latency[lane] = self
+                .circuit
+                .done()
+                .and_then(|done| self.latest_watched_change(&[done], lane));
             if let Err(e) = self.check_monotonic_lane(lane) {
                 errors[lane] = Some(e);
                 continue;
@@ -853,17 +702,9 @@ impl<'a> SlicedProtocolDriver<'a> {
             if errors[lane].is_some() {
                 continue;
             }
-            if let Err(e) = self.check_outputs_at_spacer_lane(lane) {
+            if let Err(e) = cycle::check_spacer(self.circuit, |net| self.sim.value(net, lane)) {
                 errors[lane] = Some(e);
                 continue;
-            }
-            if let Some(done) = self.circuit.done() {
-                if !self.sim.value(done, lane).is_zero() {
-                    errors[lane] = Some(DualRailError::ProtocolViolation {
-                        description: "done failed to fall after the spacer phase".to_string(),
-                    });
-                    continue;
-                }
             }
             v_to_s[lane] = self
                 .latest_watched_change(&self.observed, lane)
@@ -894,13 +735,7 @@ impl<'a> SlicedProtocolDriver<'a> {
                 if let Some((_, net, expected, got)) =
                     self.sim.lane_state_mismatch(&self.snapshot, 1u64 << lane)
                 {
-                    *err = Some(DualRailError::SpacerStateMismatch {
-                        description: format!(
-                            "net {net} settled to {got:?} after the return-to-zero phase but the \
-                             quiescent snapshot holds {expected:?}; the post-cycle state depends \
-                             on operand history, so this circuit cannot be sharded"
-                        ),
-                    });
+                    *err = Some(cycle::spacer_state_mismatch(net, got, expected));
                 }
             }
         }
@@ -916,19 +751,10 @@ impl<'a> SlicedProtocolDriver<'a> {
                 Some(error) => Err(error),
                 None => {
                     let (outputs, one_of_n) = decoded[lane].take().expect("decoded on success");
-                    if let Some(metrics) = self.metrics.as_deref() {
-                        metrics.cycles.inc();
-                        metrics
-                            .spacer_to_valid_ps
-                            .record(crate::protocol::whole_ps(s_to_v[lane]));
-                        metrics
-                            .valid_to_spacer_ps
-                            .record(crate::protocol::whole_ps(v_to_s[lane]));
-                        // The reset-phase contract is mandatory for
-                        // word drivers; reaching here means this lane
-                        // passed its spacer-state verification.
-                        metrics.spacer_verify_passes.inc();
-                    }
+                    // The reset-phase contract is mandatory for word
+                    // drivers; reaching here means this lane passed its
+                    // spacer-state verification.
+                    cycle::record_cycle(self.metrics.as_deref(), s_to_v[lane], v_to_s[lane], true);
                     Ok(OperandResult {
                         outputs,
                         one_of_n,
@@ -956,10 +782,8 @@ pub fn rebased_reference_driver<'a>(
     circuit: &'a DualRailNetlist,
     sim: gatesim::Simulator<'a>,
     snapshot: Arc<[Logic]>,
-    check_monotonic: bool,
 ) -> Result<ProtocolDriver<'a>, DualRailError> {
     let mut driver = ProtocolDriver::from_simulator(circuit, sim)?;
-    driver.set_monotonicity_check(check_monotonic);
     driver.enable_reset_contract(snapshot);
     driver.enable_phase_rebase();
     Ok(driver)
@@ -998,13 +822,9 @@ mod tests {
         let reference = ProtocolDriver::from_program(dr, Arc::clone(&program)).unwrap();
         let snapshot = reference.quiescent_snapshot();
         drop(reference);
-        let mut driver = rebased_reference_driver(
-            dr,
-            gatesim::Simulator::from_program(program),
-            snapshot,
-            true,
-        )
-        .unwrap();
+        let mut driver =
+            rebased_reference_driver(dr, gatesim::Simulator::from_program(program), snapshot)
+                .unwrap();
         operands
             .iter()
             .map(|operand| driver.apply_operand(operand).unwrap())

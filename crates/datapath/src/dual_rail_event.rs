@@ -259,7 +259,6 @@ mod tests {
             datapath.circuit(),
             Simulator::from_program(program),
             snapshot,
-            true,
         )
         .unwrap();
         let expected: Vec<_> = operands

@@ -141,7 +141,6 @@ impl<'a> Harness<'a> {
             self.circuit,
             Simulator::from_program(Arc::clone(&self.program)),
             Arc::clone(&self.snapshot),
-            true,
         )
         .expect("the scalar reference initialises");
         operands

@@ -483,7 +483,6 @@ proptest! {
             datapath.circuit(),
             Simulator::new(datapath.circuit().netlist(), &library),
             snapshot,
-            true,
         )
         .expect("driver");
         let expected: Vec<_> = operand_bits
@@ -932,7 +931,6 @@ proptest! {
             datapath.circuit(),
             Simulator::from_program(program),
             snapshot,
-            true,
         )
         .expect("driver");
         let expected: Vec<_> = operand_bits
