@@ -405,9 +405,11 @@ struct Fixture<'a> {
 
 impl Fixture<'_> {
     /// Scalar dual-rail: a fresh streamed driver per plan (fault
-    /// overlays install once per instance); the driver is rebuilt after
-    /// a divergence so one oscillating operand cannot contaminate the
-    /// classification of the next.
+    /// overlays install once per instance), rebuilt after any typed
+    /// error.  A failed cycle can leave the streamed driver off its
+    /// spacer (a failed valid-phase check returns before the spacer is
+    /// driven), and the next operand would then be driven valid to
+    /// valid and counted for its predecessor's fault.
     fn run_dualrail_scalar(&self, plan: &FaultPlan) -> Classification {
         let mut counts = Classification::default();
         let mut driver = None;
@@ -437,9 +439,7 @@ impl Fixture<'_> {
                 },
                 Err(error) => {
                     classify_dualrail_error(&error, &mut counts);
-                    if matches!(error, DualRailError::SimulationDiverged) {
-                        driver = None;
-                    }
+                    driver = None;
                 }
             }
         }
@@ -729,6 +729,56 @@ mod tests {
             let rendered = report.render();
             assert!(rendered.contains("coverage"));
         }
+    }
+
+    /// The scalar dual-rail row classifies each operand as a fresh
+    /// streamed driver does: a typed error on one operand must not be
+    /// counted again for the next (at (4, 2, seed 7) a stuck-at-0 on an
+    /// output rail used to cascade into a forbidden codeword on the
+    /// operand after it).
+    #[test]
+    fn the_scalar_dual_rail_row_matches_a_fresh_driver_per_operand() {
+        let (operands, sites, seed) = (4, 2, 7);
+        let config = DatapathConfig::new(6, 4).expect("valid fixed configuration");
+        let datapath = DualRailDatapath::generate(&config).expect("dual-rail datapath generates");
+        let circuit = datapath.circuit();
+        let workload =
+            InferenceWorkload::random(&config, operands, 0.6, seed).expect("workload generates");
+        let dual_operands = workload
+            .dual_rail_operands(&datapath)
+            .expect("operands match the datapath");
+        let program = Arc::new(EngineProgram::new(circuit.netlist(), &Library::umc_ll()));
+        let report = run(operands, sites, 1, seed);
+        let mut rows = 0;
+        for row in report.rows.iter().filter(|r| r.engine == "dualrail_scalar") {
+            let spec = plans_for_site(circuit.netlist(), NetId::from_index(row.net))
+                .into_iter()
+                .find(|spec| spec.kind == row.kind)
+                .expect("the row's fault kind is planned for its site");
+            let mut oracle = Classification::default();
+            for (operand, golden) in dual_operands.iter().zip(workload.expected()) {
+                let mut driver = ProtocolDriver::from_program(circuit, Arc::clone(&program))
+                    .expect("healthy dual-rail circuit initialises");
+                driver.enable_phase_rebase();
+                driver.set_time_horizon_ps(HORIZON_PS);
+                if driver.set_fault_plan(&spec.plan).is_err() {
+                    oracle.timeout += 1;
+                    continue;
+                }
+                match driver.apply_operand(operand) {
+                    Ok(result) => match datapath.decode_outcome(&result) {
+                        Ok(outcome) if outcome == *golden => oracle.masked += 1,
+                        Ok(_) => oracle.silent += 1,
+                        Err(_) => oracle.detected += 1,
+                    },
+                    Err(DualRailError::SimulationDiverged) => oracle.timeout += 1,
+                    Err(_) => oracle.detected += 1,
+                }
+            }
+            assert_eq!(row.counts, oracle, "{} on net {}", row.kind, row.net);
+            rows += 1;
+        }
+        assert_eq!(rows, sites * 4, "one row per site and fault kind");
     }
 
     /// Why the two dual-rail rows differ at SEU sites 982–985: each

@@ -63,9 +63,9 @@ pub enum StepOutcome {
 /// net — no event in flight for the net and the value equal to the one
 /// it already holds — are suppressed before they reach the queue,
 /// whether they come from gate re-evaluation, flip-flop capture or
-/// fresh stimulus.  Pending events sit in a two-level queue
+/// fresh stimulus.  Pending events sit in a three-tier queue
 /// ([`EventQueue`]) whose drain tier serves same-timestamp cascades
-/// without heap traffic.
+/// without touching a bucket or a heap.
 ///
 /// All of the immutable construction products live in an `Arc`-shared
 /// [`EngineProgram`], so additional instances over the same netlist

@@ -4,7 +4,7 @@
 //! simulation results are deterministic regardless of hash-map iteration
 //! order elsewhere.
 //!
-//! # Two-level scheduling
+//! # Three-tier scheduling
 //!
 //! A single binary heap pays an `O(log n)` re-sort on every push and pop.
 //! Gate-level traffic does not look like random timestamps, though: it is
@@ -20,28 +20,31 @@
 //!    `O(1)` array moves; a zero-delay cascade at the current time never
 //!    touches a heap.
 //! 2. **near-future buckets** — a power-of-two ring of time buckets
-//!    covering a short horizon after the drain timestamp, each a small
-//!    min-heap in `(time, sequence)` order.  Pushes are `O(log n)` in
-//!    the bucket's (shallow) depth; when the drain empties, the batch
-//!    of events sharing the next timestamp pops straight off the head
-//!    bucket — no rescan of the bucket per timestamp, which matters
-//!    when a 64-wide sliced word packs many distinct timestamps into
-//!    one bucket.
+//!    covering a short horizon after the drain timestamp, each an
+//!    append-only vec: a push is one `O(1)` append.  When the drain
+//!    empties and the refill scan reaches a bucket, it sorts the bucket
+//!    once by `(time, sequence)` (it *opens* it) and then serves it from
+//!    a cursor, one timestamp's batch per refill — a calendar queue
+//!    whose buckets are sorted when opened (R. Brown, "Calendar queues",
+//!    CACM 1988).  A push can land in the open bucket only when its
+//!    delay is shorter than the bucket width (a delay-scaling fault
+//!    plan, say); it goes in at its sorted position after the cursor.
 //! 3. **far-future overflow** — a binary heap for the rare event beyond
 //!    the bucket horizon (events are scheduled at most one cell delay
 //!    ahead, so the horizon is sized to cover them all).
 //!
 //! The pop order — strictly `(time_ps, insertion sequence)` — is
-//! identical to the previous single-heap discipline; the property test in
-//! `tests/property_tests.rs` pins the same-timestamp FIFO invariant under
-//! arbitrary interleaved push/pop sequences.
+//! identical to the single-heap discipline.  The unit tests below check
+//! every pop against a `(time, sequence)` reference at several bucket
+//! granularities, and the property test in `tests/property_tests.rs`
+//! does so under arbitrary interleaved push/pop sequences.
 //!
 //! The queue is generic over the payload it schedules ([`SimEvent`]):
 //! the scalar engine queues one net change per [`Event`], while the
 //! 64-wide bit-sliced engine ([`crate::SlicedSimulator`]) queues plane
 //! updates carrying a lane mask.  Both share the exact three-tier
-//! discipline, so the sliced engine inherits the property-tested pop
-//! order for free.
+//! discipline, so the sliced engine inherits the tested pop order for
+//! free.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -91,15 +94,21 @@ impl<E: SimEvent> PartialEq for QueuedEvent<E> {
 }
 impl<E: SimEvent> Eq for QueuedEvent<E> {}
 
+impl<E: SimEvent> QueuedEvent<E> {
+    /// Serve order: earliest time first, then earliest push.
+    fn serve_cmp(&self, other: &Self) -> Ordering {
+        self.event
+            .time_ps()
+            .total_cmp(&other.event.time_ps())
+            .then_with(|| self.sequence.cmp(&other.sequence))
+    }
+}
+
 impl<E: SimEvent> Ord for QueuedEvent<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert so the earliest time pops first,
-        // and for equal times the earliest-scheduled event pops first.
-        other
-            .event
-            .time_ps()
-            .total_cmp(&self.event.time_ps())
-            .then_with(|| other.sequence.cmp(&self.sequence))
+        // BinaryHeap is a max-heap: invert the serve order so the
+        // earliest `(time, sequence)` pops first.
+        other.serve_cmp(self)
     }
 }
 
@@ -109,9 +118,9 @@ impl<E: SimEvent> PartialOrd for QueuedEvent<E> {
     }
 }
 
-/// A deterministic time-ordered event queue with two-level scheduling
-/// (same-timestamp drain buffer + bucketed near future + far-future
-/// overflow heap).
+/// A deterministic time-ordered event queue with three-tier scheduling
+/// (same-timestamp drain buffer + near-future buckets sorted when the
+/// refill scan opens them + far-future overflow heap).
 ///
 /// Events pop strictly in `(time_ps, push order)`: earliest timestamp
 /// first, and FIFO among events sharing a timestamp.  The payload type
@@ -140,21 +149,25 @@ pub struct EventQueue<E: SimEvent = Event> {
     drain_time: f64,
     /// Tier 2: ring of near-future buckets; absolute bucket id `b` maps
     /// to slot `b & bucket_mask`, and live ids span
-    /// `[cur_bucket, cur_bucket + buckets.len())`.  Each bucket is a
-    /// binary min-heap in `(time, sequence)` order (via the inverted
-    /// [`QueuedEvent`] `Ord`): a 64-wide sliced run packs many distinct
-    /// timestamps into one bucket, and a heap serves each timestamp's
-    /// batch in `O(log n)` per event where a flat vec would rescan the
-    /// whole bucket per timestamp.
-    buckets: Vec<BinaryHeap<QueuedEvent<E>>>,
+    /// `[cur_bucket, cur_bucket + buckets.len())`.  Every bucket but the
+    /// open one holds only unserved events, in push order.
+    buckets: Vec<Vec<QueuedEvent<E>>>,
     bucket_mask: usize,
     /// Reciprocal of the bucket width (multiplication beats division in
     /// the push path).
     inv_bucket_width: f64,
     /// Absolute bucket id of `drain_time`.
     cur_bucket: i64,
-    /// Total events across all buckets.
+    /// Unserved events across all buckets.
     near_count: usize,
+    /// Slot of the open bucket: sorted by `(time, sequence)` from
+    /// `open_head` on, with the events before the cursor already served.
+    /// It always holds an unserved event — a bucket is closed (cleared)
+    /// as soon as its cursor reaches the end — so its slot cannot be
+    /// reused by a later bucket id while it is open.  The cursor is 0
+    /// while no bucket is open.
+    open: Option<usize>,
+    open_head: usize,
     /// Tier 3: events beyond the bucket horizon.
     overflow: BinaryHeap<QueuedEvent<E>>,
     /// Reused buffer for the (rare) backward-rebase path, keeping the
@@ -199,7 +212,9 @@ impl<E: SimEvent> EventQueue<E> {
     /// past the horizon spill to the overflow heap, and events sharing a
     /// bucket are still served in exact `(time, sequence)` order.  Size
     /// the horizon to exceed the largest single scheduling lookahead
-    /// (for gate simulation, the largest cell delay).
+    /// (for gate simulation, the largest cell delay), and the width to
+    /// stay below the smallest: a shorter lookahead can land in the
+    /// bucket being served, where it is inserted at its sorted place.
     ///
     /// # Panics
     ///
@@ -217,11 +232,13 @@ impl<E: SimEvent> EventQueue<E> {
             drain: Vec::new(),
             drain_head: 0,
             drain_time: 0.0,
-            buckets: (0..bucket_count).map(|_| BinaryHeap::new()).collect(),
+            buckets: (0..bucket_count).map(|_| Vec::new()).collect(),
             bucket_mask: bucket_count - 1,
             inv_bucket_width: bucket_width_ps.recip(),
             cur_bucket: 0,
             near_count: 0,
+            open: None,
+            open_head: 0,
             overflow: BinaryHeap::new(),
             demote_scratch: Vec::new(),
             next_sequence: 0,
@@ -289,10 +306,20 @@ impl<E: SimEvent> EventQueue<E> {
         if id - self.cur_bucket >= self.buckets.len() as i64 {
             self.overflow_pushes += 1;
             self.overflow.push(queued);
+            return;
+        }
+        self.bucket_pushes += 1;
+        self.near_count += 1;
+        let slot = id as usize & self.bucket_mask;
+        let bucket = &mut self.buckets[slot];
+        if self.open == Some(slot) {
+            // A delay shorter than the bucket width: keep the open
+            // bucket sorted after its cursor.
+            let at = self.open_head
+                + bucket[self.open_head..].partition_point(|q| q.serve_cmp(&queued).is_lt());
+            bucket.insert(at, queued);
         } else {
-            self.bucket_pushes += 1;
-            self.buckets[id as usize & self.bucket_mask].push(queued);
-            self.near_count += 1;
+            bucket.push(queued);
         }
     }
 
@@ -326,12 +353,33 @@ impl<E: SimEvent> EventQueue<E> {
         let spill_from = (new_cur + n).max(self.cur_bucket);
         for id in spill_from..self.cur_bucket + n {
             let slot = id as usize & self.bucket_mask;
-            self.near_count -= self.buckets[slot].len();
-            while let Some(queued) = self.buckets[slot].pop() {
-                self.overflow.push(queued);
-            }
+            // An open bucket spills only its unserved events, and closes.
+            let served = if self.open == Some(slot) {
+                self.open = None;
+                std::mem::take(&mut self.open_head)
+            } else {
+                0
+            };
+            let bucket = &mut self.buckets[slot];
+            self.near_count -= bucket.len() - served;
+            self.overflow.extend(bucket.drain(served..));
+            bucket.clear();
         }
         self.cur_bucket = new_cur;
+    }
+
+    /// Sorts the bucket in `slot` into serve order and serves it from
+    /// its start.  A bucket still open is a later one (an earlier event
+    /// came in through the overflow heap or a backward rebase): drop its
+    /// served prefix, so it holds only unserved events again and is
+    /// re-sorted when the scan reaches it.
+    fn open_bucket(&mut self, slot: usize) {
+        if let Some(old) = self.open {
+            self.buckets[old].drain(..self.open_head);
+        }
+        self.buckets[slot].sort_unstable_by(QueuedEvent::serve_cmp);
+        self.open = Some(slot);
+        self.open_head = 0;
     }
 
     /// Refills the drain buffer with the complete batch of events sharing
@@ -342,9 +390,9 @@ impl<E: SimEvent> EventQueue<E> {
         self.drain.clear();
         self.drain_head = 0;
 
-        // The near-minimum lives at the head of the first non-empty
-        // bucket: later buckets hold strictly later times, and each
-        // bucket heap keeps its earliest `(time, sequence)` on top.
+        // The near-minimum lives at the cursor of the first non-empty
+        // bucket once it is open: later buckets hold strictly later
+        // times, and an open bucket is sorted from its cursor on.
         let mut near_min = f64::INFINITY;
         if self.near_count > 0 {
             // `near_count > 0` guarantees a non-empty bucket inside the
@@ -357,8 +405,12 @@ impl<E: SimEvent> EventQueue<E> {
                 }
                 self.cur_bucket += 1;
             }
-            if let Some(head) = self.buckets[self.cur_bucket as usize & self.bucket_mask].peek() {
-                near_min = head.event.time_ps();
+            let slot = self.cur_bucket as usize & self.bucket_mask;
+            if !self.buckets[slot].is_empty() {
+                if self.open != Some(slot) {
+                    self.open_bucket(slot);
+                }
+                near_min = self.buckets[slot][self.open_head].event.time_ps();
             }
         }
         let overflow_min = self
@@ -369,25 +421,26 @@ impl<E: SimEvent> EventQueue<E> {
         debug_assert!(target.is_finite(), "refill with no pending events");
         self.drain_time = target;
 
-        // Extract every event at the target time straight into the
-        // drain — heap pops with equal times come out in sequence
-        // order, so the batch arrives already FIFO.
+        // Copy every event at the target time straight into the drain —
+        // the open bucket is sorted by `(time, sequence)`, so the batch
+        // arrives already FIFO.
         if near_min == target {
             let slot = self.cur_bucket as usize & self.bucket_mask;
             let bucket = &mut self.buckets[slot];
-            loop {
-                match bucket.peek() {
-                    Some(q) if q.event.time_ps() == target => {}
-                    _ => break,
-                }
-                // The pop mirrors the peek that just matched, so it
-                // cannot come back empty; the `if let` keeps the loop
-                // panic-free regardless.
-                if let Some(queued) = bucket.pop() {
-                    self.drain.push(queued);
-                }
+            let start = self.open_head;
+            let end = start + bucket[start..].partition_point(|q| q.event.time_ps() == target);
+            self.drain.extend_from_slice(&bucket[start..end]);
+            self.near_count -= end - start;
+            if end == bucket.len() {
+                // Close the exhausted bucket at once: left open, its
+                // served events would still be there when the window
+                // moves on and a later bucket id reuses the slot.
+                bucket.clear();
+                self.open = None;
+                self.open_head = 0;
+            } else {
+                self.open_head = end;
             }
-            self.near_count -= self.drain.len();
         }
         if overflow_min == target {
             // An overflow event can share the target timestamp with a
@@ -496,6 +549,8 @@ impl<E: SimEvent> EventQueue<E> {
             bucket.clear();
         }
         self.near_count = 0;
+        self.open = None;
+        self.open_head = 0;
         self.overflow.clear();
         self.len = 0;
     }
@@ -564,6 +619,26 @@ mod tests {
             .map(|e| e.net.index())
             .collect();
         assert_eq!(order, vec![2, 4, 0, 1, 3]);
+    }
+
+    #[test]
+    fn clear_closes_an_open_bucket() {
+        // 1.0, 2.0 and 3.0 share bucket 0: popping 0.0 and 1.0 leaves it
+        // open with its cursor past two served events.
+        let mut q = EventQueue::with_granularity(10.0, 4);
+        for (i, t) in [0.0, 1.0, 2.0, 3.0].into_iter().enumerate() {
+            q.push(ev(t, i));
+        }
+        assert_eq!(q.pop().map(|e| e.net.index()), Some(0));
+        assert_eq!(q.pop().map(|e| e.net.index()), Some(1));
+        q.clear();
+        assert!(q.pop().is_none());
+        q.push(ev(5.0, 4));
+        q.push(ev(6.0, 5));
+        let order: Vec<usize> = std::iter::from_fn(|| q.pop())
+            .map(|e| e.net.index())
+            .collect();
+        assert_eq!(order, vec![4, 5]);
     }
 
     #[test]
@@ -661,5 +736,88 @@ mod tests {
         }
         assert!(q.pop().is_none());
         assert_eq!(q.len(), 0);
+    }
+
+    /// The events a queue should still hold, in push order.
+    #[derive(Default)]
+    struct Reference {
+        pending: Vec<(f64, usize)>,
+        next_id: usize,
+    }
+
+    impl Reference {
+        fn push(&mut self, q: &mut EventQueue, t: f64) {
+            q.push(ev(t, self.next_id));
+            self.pending.push((t, self.next_id));
+            self.next_id += 1;
+        }
+
+        /// Pops one event, checks it is the reference's earliest
+        /// `(time, sequence)`, and returns its time.
+        fn pop(&mut self, q: &mut EventQueue) -> f64 {
+            let got = q.pop().expect("the reference holds an event");
+            let min = self
+                .pending
+                .iter()
+                .enumerate()
+                .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+                .map(|(i, _)| i)
+                .expect("non-empty");
+            assert_eq!((got.time_ps, got.net.index()), self.pending.remove(min));
+            assert_eq!(q.len(), self.pending.len());
+            got.time_ps
+        }
+
+        fn drain(&mut self, q: &mut EventQueue) {
+            while !self.pending.is_empty() {
+                self.pop(q);
+            }
+            assert!(q.pop().is_none());
+        }
+    }
+
+    /// Simulation-shaped traffic, checked pop by pop against the
+    /// reference at bucket widths from far below to far above the
+    /// delays: delays shorter than the width land in the open bucket,
+    /// zero delays in the drain, absolute times before the drain time
+    /// rebase the window backward, and far-future times go through the
+    /// overflow heap.  Every 500 steps the queue drains empty and
+    /// restarts at time 0, as `reset_time` does between words.
+    #[test]
+    fn every_granularity_pops_in_reference_order() {
+        use rand::rngs::StdRng;
+        use rand::{RngCore, SeedableRng};
+
+        const DELAYS: [f64; 7] = [0.0, 0.1, 0.5, 1.7, 3.4, 6.8, 13.6];
+        for (width, count) in [
+            (0.25, 4),
+            (1.0, 1),
+            (2.0, 8),
+            (5.0, 16),
+            (16.0, 64),
+            (100.0, 2),
+        ] {
+            let mut q = EventQueue::with_granularity(width, count);
+            let mut reference = Reference::default();
+            let mut rng = StdRng::seed_from_u64(width.to_bits() ^ count as u64);
+            let mut now = 0.0;
+            for step in 1..=6000 {
+                if step % 500 == 0 {
+                    reference.drain(&mut q);
+                    now = 0.0;
+                    continue;
+                }
+                let r = rng.next_u64();
+                let pick = (r >> 8) as usize;
+                match r % 8 {
+                    0..=3 => reference.push(&mut q, now + DELAYS[pick % DELAYS.len()]),
+                    4 => reference.push(&mut q, (pick % 97) as f64 * 1.7),
+                    5 => reference.push(&mut q, now + 1000.0 + (pick % 7) as f64),
+                    _ if !reference.pending.is_empty() => now = reference.pop(&mut q),
+                    _ => {}
+                }
+            }
+            reference.drain(&mut q);
+        }
     }
 }

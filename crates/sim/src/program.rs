@@ -257,7 +257,7 @@ impl<'a> EngineProgram<'a> {
             })
             .collect();
 
-        // Size the two-level event queue from the largest cell delay: no
+        // Size the three-tier event queue from the largest cell delay: no
         // event is ever scheduled further ahead than one cell delay, so a
         // horizon of a few delays keeps the overflow heap empty.
         let max_delay_ps = cell_delay_ps

@@ -142,6 +142,24 @@ fn handshake_vcd_matches_the_golden_fixture() {
     );
 }
 
+/// The engine counters of `bench_record`'s metrics snapshot are pinned
+/// byte for byte: events popped, suppressed and coalesced, and the
+/// queue's drain / bucket / overflow filings of the sliced event engine,
+/// the sliced dual-rail driver and the scalar pipelined driver.  A
+/// change of event pop order or tier filing shows up here (regenerate
+/// with `tm_async_bench::obs_capture::engine_metrics_snapshot(6, 7, 1)
+/// .to_json()` plus a newline, only for a change that moves them on
+/// purpose).
+#[test]
+fn engine_metrics_match_the_golden_fixture() {
+    let json = tm_async_bench::obs_capture::engine_metrics_snapshot(6, 7, 1).to_json();
+    assert_eq!(
+        format!("{json}\n"),
+        include_str!("fixtures/engine_metrics.json"),
+        "engine metrics diverged from tests/fixtures/engine_metrics.json"
+    );
+}
+
 /// The serving Chrome trace is byte-deterministic under the fixed
 /// service model, and parses as JSON.
 #[test]
