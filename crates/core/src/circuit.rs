@@ -57,6 +57,9 @@ pub struct DualRailNetlist {
     one_of_n_outputs: Vec<(String, Vec<NetId>)>,
     probes: Vec<(String, DualRailSignal)>,
     done: Option<NetId>,
+    /// Positions in `inputs` of the dual inputs that change from one
+    /// operand to the next, ascending; `None` until declared.
+    varying: Option<Vec<usize>>,
 }
 
 impl DualRailNetlist {
@@ -70,6 +73,7 @@ impl DualRailNetlist {
             one_of_n_outputs: Vec::new(),
             probes: Vec::new(),
             done: None,
+            varying: None,
         }
     }
 
@@ -83,6 +87,7 @@ impl DualRailNetlist {
             one_of_n_outputs: Vec::new(),
             probes: Vec::new(),
             done: None,
+            varying: None,
         }
     }
 
@@ -165,6 +170,49 @@ impl DualRailNetlist {
     #[must_use]
     pub fn dual_inputs(&self) -> &[(String, DualRailSignal)] {
         &self.inputs
+    }
+
+    /// Declares that of the dual inputs only those named in `names`
+    /// change from one operand to the next, while every other one, also
+    /// any declared later, holds its level across a stream of operands
+    /// (a trained model's exclude masks, say).  A later declaration
+    /// replaces this one.  The word driver then settles a word whose
+    /// live lanes agree on every held input on an arrival program
+    /// specialised to those levels (see
+    /// [`crate::SlicedProtocolDriver::apply_word`]); results are the
+    /// same either way.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DualRailError::UnknownSignal`] for a name no dual input
+    /// has, and leaves any earlier declaration in place.
+    pub fn declare_varying_inputs<S: AsRef<str>>(
+        &mut self,
+        names: &[S],
+    ) -> Result<(), DualRailError> {
+        let mut varying = names
+            .iter()
+            .map(|name| {
+                let name = name.as_ref();
+                self.inputs
+                    .iter()
+                    .position(|(n, _)| n == name)
+                    .ok_or_else(|| DualRailError::UnknownSignal(name.to_string()))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        varying.sort_unstable();
+        varying.dedup();
+        self.varying = Some(varying);
+        Ok(())
+    }
+
+    /// Positions in [`DualRailNetlist::dual_inputs`] of the inputs that
+    /// change from one operand to the next, ascending, or `None` when
+    /// the circuit declares none (see
+    /// [`DualRailNetlist::declare_varying_inputs`]).
+    #[must_use]
+    pub fn varying_inputs(&self) -> Option<&[usize]> {
+        self.varying.as_deref()
     }
 
     /// Dual-rail outputs in declaration order.
@@ -349,5 +397,23 @@ mod tests {
         dr.set_done(done_net);
         assert_eq!(dr.done(), Some(done_net));
         assert!(dr.netlist().find_net("done_src").is_some());
+    }
+
+    #[test]
+    fn varying_inputs_are_declared_by_name_in_declaration_order() {
+        let mut circuit = DualRailNetlist::new("t");
+        for name in ["a", "b", "c"] {
+            circuit.add_dual_input(name);
+        }
+        assert_eq!(circuit.varying_inputs(), None);
+        circuit.declare_varying_inputs(&["c", "a", "c"]).unwrap();
+        assert_eq!(circuit.varying_inputs(), Some(&[0, 2][..]));
+        assert_eq!(
+            circuit.declare_varying_inputs(&["b", "d"]),
+            Err(DualRailError::UnknownSignal("d".to_string()))
+        );
+        assert_eq!(circuit.varying_inputs(), Some(&[0, 2][..]));
+        circuit.declare_varying_inputs::<&str>(&[]).unwrap();
+        assert_eq!(circuit.varying_inputs(), Some(&[][..]));
     }
 }

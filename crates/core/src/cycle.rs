@@ -12,7 +12,7 @@
 use gatesim::Logic;
 use netlist::NetId;
 
-use crate::{DualRailError, DualRailNetlist, DualRailValue, OneOfNValue};
+use crate::{DualRailError, DualRailNetlist, DualRailSignal, DualRailValue, OneOfNValue};
 
 /// One cycle's decoded outputs: the dual output bits, then each 1-of-n
 /// group's name and selected index, in declaration order.
@@ -55,11 +55,15 @@ pub(crate) fn valid_drive<'c>(
         .dual_inputs()
         .iter()
         .zip(bits)
-        .flat_map(|((_, signal), &bit)| {
-            let (p, n) = DualRailValue::encode_valid(bit, signal.polarity);
-            [(signal.positive, p), (signal.negative, n)]
-        });
+        .flat_map(|((_, signal), &bit)| valid_rails(signal, bit));
     req.map(|req| (req, true)).into_iter().chain(inputs)
+}
+
+/// One dual input's share of the valid drive: its positive, then its
+/// negative rail, with the levels that encode `bit`.
+pub(crate) fn valid_rails(signal: &DualRailSignal, bit: bool) -> [(NetId, bool); 2] {
+    let (p, n) = DualRailValue::encode_valid(bit, signal.polarity);
+    [(signal.positive, p), (signal.negative, n)]
 }
 
 /// The end-of-valid-phase check: every dual output holds a valid

@@ -28,7 +28,14 @@
 //! A word with few live lanes on a healthy, uninstrumented driver runs
 //! on the arrival kernel ([`gatesim::ArrivalProgram`]): one topological
 //! `(min, max, +)` pass per phase and lane instead of the 64-lane event
-//! queue, with bit-identical results.  Every other word runs on the
+//! queue, with bit-identical results.  When the circuit declares which
+//! dual inputs vary per operand
+//! ([`DualRailNetlist::declare_varying_inputs`]; the inference datapath
+//! declares its features, so a model's exclude masks are held) and the
+//! word's live lanes agree on every held input, the pass runs on the
+//! program specialised to those levels
+//! ([`gatesim::ArrivalProgram::specialise`]), which settles only the
+//! cells the varying inputs can move.  Every other word runs on the
 //! event kernel; see [`SlicedProtocolDriver::apply_word`] for the rule.
 //!
 //! Only the event kernel reads the 64-lane instance, so a healthy
@@ -55,7 +62,7 @@
 
 use std::sync::Arc;
 
-use gatesim::{lane_mask, ArrivalProgram, ArrivalRun, Logic, SlicedSimulator};
+use gatesim::{lane_mask, ArrivalProgram, ArrivalRun, InputSplit, Logic, SlicedSimulator};
 use netlist::{NetId, LANES};
 
 use crate::protocol::ProtocolDriver;
@@ -118,13 +125,18 @@ pub struct SlicedProtocolDriver<'a> {
     arrival: Option<Box<ArrivalLane>>,
 }
 
-/// An arrival program and one lane's scratch.
+/// The general arrival program at the snapshot and one lane's scratch.
 #[derive(Debug)]
 struct ArrivalLane {
     program: Arc<ArrivalProgram>,
-    run: ArrivalRun,
-    /// The primary inputs the current operand moves.
+    /// Made on the first word, from the program that serves it.
+    run: Option<ArrivalRun>,
+    /// The inputs the current operand moves.
     moved: Vec<NetId>,
+    /// The current word's split of the inputs: the rails of the varying
+    /// dual inputs vary, and the held inputs its valid drive moves are
+    /// held moved.
+    split: InputSplit,
 }
 
 impl<'a> SlicedProtocolDriver<'a> {
@@ -457,9 +469,15 @@ impl<'a> SlicedProtocolDriver<'a> {
     /// on a healthy, uninstrumented driver runs on the
     /// **arrival kernel** ([`gatesim::ArrivalProgram`]): one
     /// topological `(min, max, +)` pass per phase and lane, compiled
-    /// once per [`gatesim::EngineProgram`] and snapshot.  Its results
-    /// are bit-identical to the event kernel's, `cycle_time_ps`
-    /// included.  Every other word runs on the 64-lane event kernel:
+    /// once per [`gatesim::EngineProgram`] and snapshot.  If the
+    /// circuit declares its varying inputs and the live lanes agree on
+    /// every other input, the pass runs on the program specialised to
+    /// those held levels, compiled on the word that first needs it and
+    /// memoised on the shared program by content; a word whose lanes
+    /// differ on a held input, or a circuit without the declaration,
+    /// takes the general pass.  Its results are bit-identical to the
+    /// event kernel's, `cycle_time_ps` included.  Every other word runs
+    /// on the 64-lane event kernel:
     /// a driver with a fault plan (even an empty one), a wave probe,
     /// metrics, a non-default event limit or a circuit the arrival
     /// compile rejects; a word with more live lanes; a word whose pass
@@ -496,23 +514,23 @@ impl<'a> SlicedProtocolDriver<'a> {
 
     /// The arrival kernel at the snapshot, its program looked up in the
     /// engine program's memo (compiled at most once per engine program
-    /// and snapshot content).  There is none when the compile fails,
-    /// when the dual-rail inputs share nets (a drive would then move one
-    /// net twice), or when a lane's pops could exceed the default event
-    /// limit.
+    /// and snapshot content).  There is none when the compile fails or
+    /// when a lane's pops could exceed the default event limit.
+    ///
+    /// A drive moves each input at most once, because the driven nets
+    /// are distinct: [`DualRailNetlist::add_dual_input`], the only way
+    /// to add a dual input, makes two fresh nets named `<name>_p` and
+    /// `<name>_n` with [`netlist::Netlist::add_input`], which panics on
+    /// a name already in use, and `req` is the primary input named
+    /// `req`.
     fn arrival_lane(&self) -> Option<Box<ArrivalLane>> {
-        let mut driven = vec![false; self.snapshot.len()];
-        let distinct = cycle::spacer_drive(self.circuit, self.req)
-            .all(|(net, _)| !std::mem::replace(&mut driven[net.index()], true));
-        if !distinct {
-            return None;
-        }
         let program = self.sim.program().arrival_program(&self.snapshot).ok()?;
         let fits = program.pop_bound() <= gatesim::Simulator::DEFAULT_EVENT_LIMIT;
         fits.then(|| {
             Box::new(ArrivalLane {
-                run: program.new_run(),
+                split: InputSplit::new(&program),
                 program,
+                run: None,
                 moved: Vec::new(),
             })
         })
@@ -530,11 +548,17 @@ impl<'a> SlicedProtocolDriver<'a> {
             return None;
         }
         let mut lane = self.arrival.take()?;
+        let specialised = self.specialised(&mut lane, operands);
+        let program = specialised
+            .clone()
+            .unwrap_or_else(|| Arc::clone(&lane.program));
+        let run = lane.run.get_or_insert_with(|| program.new_run());
         let results = operands
             .iter()
             .map(|operand| {
                 if operand.len() == expected {
-                    self.arrival_result(&mut lane, operand).map(Ok)
+                    self.moved_inputs(operand, specialised.is_some(), &mut lane.moved);
+                    self.arrival_result(&program, run, &lane.moved).map(Ok)
                 } else {
                     Some(Err(DualRailError::OperandWidthMismatch {
                         expected,
@@ -547,27 +571,87 @@ impl<'a> SlicedProtocolDriver<'a> {
         results
     }
 
-    /// The primary inputs whose valid drive for `operand` differs from
-    /// the snapshot: exactly the inputs the event kernel's drive moves.
-    fn moved_inputs(&self, operand: &[bool], moved: &mut Vec<NetId>) {
-        moved.clear();
-        moved.extend(
-            cycle::valid_drive(self.circuit, self.req, operand)
-                .filter(|&(net, level)| self.snapshot[net.index()] != Logic::from(level))
-                .map(|(net, _)| net),
-        );
+    /// The general program specialised to the levels the word's live
+    /// lanes hold on the circuit's held inputs (memoised on the general
+    /// program; see [`ArrivalProgram::specialise`]).  `None` when the
+    /// circuit declares no varying inputs, when two live lanes differ
+    /// on a held input, or when the specialisation would tie.
+    fn specialised(
+        &self,
+        lane: &mut ArrivalLane,
+        operands: &[Vec<bool>],
+    ) -> Option<Arc<ArrivalProgram>> {
+        let varying = self.circuit.varying_inputs()?;
+        let expected = self.circuit.input_count();
+        let mut live = operands.iter().filter(|op| op.len() == expected);
+        let first = live.next()?;
+        if !live.all(|operand| held_inputs_agree(varying, first, operand)) {
+            return None;
+        }
+        let split = &mut lane.split;
+        split.clear();
+        let moves = |net: NetId, level: bool| self.snapshot[net.index()] != Logic::from(level);
+        if let Some(req) = self.req.filter(|&req| moves(req, true)) {
+            split.hold_moved(req);
+        }
+        let mut next_varying = varying.iter().peekable();
+        for (input, ((_, signal), &bit)) in self.circuit.dual_inputs().iter().zip(first).enumerate()
+        {
+            if next_varying.next_if_eq(&&input).is_some() {
+                split.vary(signal.positive);
+                split.vary(signal.negative);
+            } else {
+                for (net, level) in cycle::valid_rails(signal, bit) {
+                    if moves(net, level) {
+                        split.hold_moved(net);
+                    }
+                }
+            }
+        }
+        lane.program.specialise(&lane.split)
     }
 
-    /// One operand's [`OperandResult`] from its arrival pass, with the
-    /// event path's checks in its order; `None` on a fallback, a failed
-    /// check or a pop past the time horizon (the event kernel then
-    /// re-runs the word and reports any typed error).  A pass moves each
-    /// net at most once per phase and returns every net, so the
-    /// monotonicity and reset-phase checks hold by construction.
-    fn arrival_result(&self, lane: &mut ArrivalLane, operand: &[bool]) -> Option<OperandResult> {
-        self.moved_inputs(operand, &mut lane.moved);
-        lane.program.run_cycle(&lane.moved, &mut lane.run).ok()?;
-        let (program, run) = (&*lane.program, &lane.run);
+    /// The inputs whose valid drive for `operand` differs from the
+    /// snapshot: exactly the inputs the event kernel's drive moves, or,
+    /// for a `specialised` program, those among the rails of the varying
+    /// dual inputs.
+    fn moved_inputs(&self, operand: &[bool], specialised: bool, moved: &mut Vec<NetId>) {
+        let moves =
+            |&(net, level): &(NetId, bool)| self.snapshot[net.index()] != Logic::from(level);
+        moved.clear();
+        match self.circuit.varying_inputs().filter(|_| specialised) {
+            Some(varying) => moved.extend(
+                varying
+                    .iter()
+                    .flat_map(|&input| {
+                        cycle::valid_rails(&self.circuit.dual_inputs()[input].1, operand[input])
+                    })
+                    .filter(moves)
+                    .map(|(net, _)| net),
+            ),
+            None => moved.extend(
+                cycle::valid_drive(self.circuit, self.req, operand)
+                    .filter(moves)
+                    .map(|(net, _)| net),
+            ),
+        }
+    }
+
+    /// One operand's [`OperandResult`] from its arrival pass on
+    /// `program`, which moves `moved`, with the event path's checks in
+    /// its order; `None` on a fallback, a failed check or a pop past the
+    /// time horizon (the event kernel then re-runs the word and reports
+    /// any typed error).  A pass moves each net at most once per phase
+    /// and returns every net, so the monotonicity and reset-phase checks
+    /// hold by construction.
+    fn arrival_result(
+        &self,
+        program: &ArrivalProgram,
+        run: &mut ArrivalRun,
+        moved: &[NetId],
+    ) -> Option<OperandResult> {
+        program.run_cycle(moved, run).ok()?;
+        let run = &*run;
         let horizon = self.sim.time_horizon_ps();
         if run.valid_clock_ps() > horizon || run.spacer_clock_ps() > horizon {
             return None;
@@ -768,6 +852,17 @@ impl<'a> SlicedProtocolDriver<'a> {
             })
             .collect()
     }
+}
+
+/// Whether operands `a` and `b` agree on every input outside the
+/// ascending positions `varying`.
+fn held_inputs_agree(varying: &[usize], a: &[bool], b: &[bool]) -> bool {
+    let mut from = 0;
+    varying.iter().chain([&a.len()]).all(|&to| {
+        let agree = a[from..to] == b[from..to];
+        from = to + 1;
+        agree
+    })
 }
 
 /// Builds the streamed scalar reference for the sliced driver: a
@@ -1105,6 +1200,53 @@ mod tests {
         let (results, events) = served_by_events(&mut driver, &operands[..1]);
         assert!(!events);
         assert_eq!(unwrap_all(results), expected[..1]);
+    }
+
+    /// A circuit that declares its varying inputs serves a word whose
+    /// live lanes agree on every held input on a program specialised to
+    /// their levels, and any other word on the general one; both match
+    /// the scalar reference bit for bit.
+    #[test]
+    fn words_that_share_their_held_inputs_take_a_specialised_program() {
+        let mut dr = and_or_circuit();
+        dr.declare_varying_inputs(&["a"]).unwrap();
+        let lib = Library::umc_ll();
+        let operands = workload(3, 8);
+        let expected = rebased_streamed(&dr, &operands);
+        // Lane `p` carries `a = p & 1`, `b = p & 2`, `c = p & 4`.
+        let same_bc = [4, 5];
+        let mixed_bc = [0, 1, 2, 3];
+        let mut driver = word_driver(&dr, &lib);
+        let mut lane = driver.arrival.take().unwrap();
+        let word = |picks: &[usize]| -> Vec<Vec<bool>> {
+            picks.iter().map(|&p| operands[p].clone()).collect()
+        };
+        let specialised = driver.specialised(&mut lane, &word(&same_bc));
+        assert!(specialised.is_some());
+        assert!(specialised.unwrap().settled_cells() < lane.program.settled_cells());
+        assert!(driver.specialised(&mut lane, &word(&mixed_bc)).is_none());
+        let mut padded = word(&same_bc);
+        padded.insert(0, vec![true]);
+        assert!(
+            driver.specialised(&mut lane, &padded).is_some(),
+            "a lane of the wrong width holds nothing"
+        );
+        driver.arrival = Some(lane);
+        for picks in [&same_bc[..], &mixed_bc, &[6], &[2], &same_bc] {
+            let (results, events) = served_by_events(&mut driver, &word(picks));
+            assert!(!events, "lanes {picks:?} run on the arrival kernel");
+            let expected: Vec<_> = picks.iter().map(|&p| expected[p].clone()).collect();
+            assert_eq!(unwrap_all(results), expected, "lanes {picks:?}");
+        }
+        let (results, _) = served_by_events(&mut driver, &padded);
+        assert!(results[0].is_err());
+        assert_eq!(results[2].as_ref().unwrap(), &expected[5]);
+
+        // Without the declaration every word takes the general program.
+        let plain = and_or_circuit();
+        let mut driver = word_driver(&plain, &lib);
+        let mut lane = driver.arrival.take().unwrap();
+        assert!(driver.specialised(&mut lane, &word(&same_bc)).is_none());
     }
 
     /// Every event-kernel condition runs the event kernel, with the

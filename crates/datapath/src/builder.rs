@@ -13,6 +13,13 @@ use crate::popcount::dual_rail_popcount8;
 use crate::reference::{ComparatorDecision, InferenceOutcome};
 use crate::{DatapathConfig, DatapathError};
 
+/// The count-signal probes the generator declares, LSB first: the
+/// positive bank's, then the negative bank's.
+const COUNT_PROBES: [[&str; 4]; 2] = [
+    ["pcp0", "pcp1", "pcp2", "pcp3"],
+    ["pcn0", "pcn1", "pcn2", "pcn3"],
+];
+
 /// Which completion-detection scheme the generated datapath uses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CompletionScheme {
@@ -94,8 +101,10 @@ impl DualRailDatapath {
         } else {
             None
         };
-        let mut features: Vec<DualRailSignal> = (0..features_count)
-            .map(|m| dr.add_dual_input(format!("f{m}")))
+        let feature_names: Vec<String> = (0..features_count).map(|m| format!("f{m}")).collect();
+        let mut features: Vec<DualRailSignal> = feature_names
+            .iter()
+            .map(|name| dr.add_dual_input(name.as_str()))
             .collect();
         let mut positive_excludes: Vec<Vec<DualRailSignal>> = (0..clauses)
             .map(|j| {
@@ -111,6 +120,9 @@ impl DualRailDatapath {
                     .collect()
             })
             .collect();
+        // Only the features change per inference; the exclude masks are
+        // a trained model's, held over its whole stream of operands.
+        dr.declare_varying_inputs(&feature_names)?;
 
         // Optional C-element input latches (the paper's asynchronous
         // replacement for the single-rail input flip-flops).
@@ -171,11 +183,10 @@ impl DualRailDatapath {
             .chain(negative_count.iter())
             .copied()
             .collect();
-        for (i, &bit) in positive_count.iter().enumerate() {
-            dr.declare_probe(format!("pcp{i}"), bit);
-        }
-        for (i, &bit) in negative_count.iter().enumerate() {
-            dr.declare_probe(format!("pcn{i}"), bit);
+        for (names, bits) in COUNT_PROBES.iter().zip([&positive_count, &negative_count]) {
+            for (&name, &bit) in names.iter().zip(bits.iter()) {
+                dr.declare_probe(name, bit);
+            }
         }
 
         // Magnitude comparator with the 1-of-3 output.
@@ -338,26 +349,28 @@ impl DualRailDatapath {
     /// Returns [`DatapathError::DecodeFailure`] if a count probe is
     /// missing from the result or did not settle to a valid codeword.
     pub fn decode_votes(&self, result: &OperandResult) -> Result<(usize, usize), DatapathError> {
-        let count = |prefix: &str| -> Result<usize, DatapathError> {
-            (0..4).try_fold(0usize, |acc, i| {
-                let name = format!("{prefix}{i}");
-                let value = result
-                    .probes
-                    .iter()
-                    .find(|(n, _)| *n == name)
-                    .map(|(_, v)| *v)
-                    .ok_or_else(|| {
-                        DatapathError::DecodeFailure(format!("count probe {name:?} missing"))
-                    })?;
-                match value {
-                    DualRailValue::Valid(bit) => Ok(acc + (usize::from(bit) << i)),
-                    other => Err(DatapathError::DecodeFailure(format!(
-                        "count probe {name:?} is {other:?} when a valid codeword was expected"
-                    ))),
-                }
-            })
+        let count = |names: &[&str; 4]| -> Result<usize, DatapathError> {
+            names
+                .iter()
+                .enumerate()
+                .try_fold(0usize, |acc, (i, &name)| {
+                    let value = result
+                        .probes
+                        .iter()
+                        .find(|(n, _)| n == name)
+                        .map(|(_, v)| *v)
+                        .ok_or_else(|| {
+                            DatapathError::DecodeFailure(format!("count probe {name:?} missing"))
+                        })?;
+                    match value {
+                        DualRailValue::Valid(bit) => Ok(acc + (usize::from(bit) << i)),
+                        other => Err(DatapathError::DecodeFailure(format!(
+                            "count probe {name:?} is {other:?} when a valid codeword was expected"
+                        ))),
+                    }
+                })
         };
-        Ok((count("pcp")?, count("pcn")?))
+        Ok((count(&COUNT_PROBES[0])?, count(&COUNT_PROBES[1])?))
     }
 
     /// Decodes a protocol-driver result into the full

@@ -79,7 +79,7 @@ pub mod sliced;
 pub mod testbench;
 pub mod value;
 
-pub use arrival::{ArrivalCompileError, ArrivalProgram, ArrivalRun, ArrivalTie};
+pub use arrival::{ArrivalCompileError, ArrivalProgram, ArrivalRun, ArrivalTie, InputSplit};
 pub use engine::{RunOutcome, Simulator, StepOutcome};
 pub use event::{Event, EventQueue, SimEvent};
 pub use fault::{FaultPlan, SettleError, SettlePhase, SeuPulse};
